@@ -1,8 +1,8 @@
 """Learned spatio-temporal map priors for odometry-only indoor localization."""
 
 from .occupancy import MapCrop, MapError, OccupancyMap, crop, load_map, save_map
-from .simulate import (NoiseProfile, Odometry, OdometrySample, Pose,
-                       Trajectory, corrupt_to_odometry, diff_drive_step,
+from .simulate import (NoiseProfile, Odometry, Pose, Trajectory,
+                       corrupt_to_odometry, dead_reckoning, diff_drive_step,
                        generate_trajectory, integrate_odometry, window,
                        wrap_angle)
 from .targets import TargetMap, TrajectoryKernel, cross_correlate, make_target, rasterize_kernel

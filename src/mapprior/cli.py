@@ -19,13 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, metrics
-from .model import ModelConfig, build_training_set, train
+from .model import ModelConfig, build_training_set, init_weights, train
 from .nn import load_weights, save_weights
 from .occupancy import MapError, OccupancyMap, load_map
 from .particle_filter import FilterConfig, run_filter
-from .simulate import (NoiseProfile, Pose, Trajectory, generate_trajectory,
-                       corrupt_to_odometry, integrate_heading,
-                       integrate_odometry, read_odometry_csv,
+from .simulate import (NoiseProfile, Pose, generate_trajectory,
+                       corrupt_to_odometry, dead_reckoning, read_odometry_csv,
                        read_trajectory_csv, write_odometry_csv,
                        write_trajectory_csv)
 
@@ -34,19 +33,6 @@ MANIFEST_VERSION = 1
 
 class CliError(ValueError):
     pass
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _atomic_file(path: Path, writer) -> None:
@@ -72,7 +58,8 @@ def _write_manifest(path: Path, command: str, args: dict, outputs: list[str],
         "outputs": outputs,
         "timings": timings,
     }
-    _atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _atomic_file(path, lambda p: Path(p).write_text(text))
 
 
 def _load_map(args) -> OccupancyMap:
@@ -99,6 +86,22 @@ def _parse_start(args) -> Pose:
     raise CliError("provide --start x,y[,theta] or --gt trajectory for the start pose")
 
 
+def _load_model(path) -> tuple[dict, ModelConfig]:
+    """Weights and their model config; every layer name and shape must be
+    the ones the config builds."""
+    weights, meta = load_weights(path)
+    if "model_config" not in meta:
+        raise CliError(f"{path}: no model_config in the weights metadata")
+    config = ModelConfig.from_dict(meta["model_config"])
+    want = {k: v.data.shape for k, v in init_weights(config, 0).items()}
+    have = {k: v.shape for k, v in weights.items()}
+    if have != want:
+        k = min(k for k in want.keys() | have.keys() if want.get(k) != have.get(k))
+        raise CliError(f"{path}: layer {k} is {have.get(k, 'missing')} in the file "
+                       f"but {want.get(k, 'absent')} in its model_config")
+    return weights, config
+
+
 # --- commands -------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
@@ -107,8 +110,7 @@ def cmd_simulate(args) -> int:
     occ = _load_map(args)
     out_dir = Path(args.out)
     t0 = time.perf_counter()
-    noise = (NoiseProfile.wheeled() if args.profile == "wheeled"
-             else NoiseProfile.pedestrian())
+    noise = getattr(NoiseProfile, args.profile)()
     seeds = np.random.SeedSequence(args.seed).generate_state(2 * args.n_trajs)
     outputs = []
     for k in range(args.n_trajs):
@@ -138,8 +140,7 @@ def cmd_train(args) -> int:
         raise CliError(f"no gt_*.csv files in {traj_dir}")
     trajectories = [read_trajectory_csv(f) for f in gt_files]
     t0 = time.perf_counter()
-    noise = (NoiseProfile.wheeled() if args.profile == "wheeled"
-             else NoiseProfile.pedestrian())
+    noise = getattr(NoiseProfile, args.profile)()
     dataset = build_training_set(occ, trajectories, config, noise,
                                  seed=args.seed, stride=args.stride)
     weights, history = train(dataset, config, seed=args.seed)
@@ -153,21 +154,13 @@ def cmd_train(args) -> int:
     log_path = Path(args.log) if args.log else out.with_suffix(out.suffix + ".log.csv")
     log_lines = ["epoch,train_loss,val_loss"]
     log_lines += [f"{e},{tr:.9g},{vl:.9g}" for e, tr, vl in history]
-    _atomic_write_text(log_path, "\n".join(log_lines) + "\n")
+    _atomic_file(log_path, lambda p: Path(p).write_text("\n".join(log_lines) + "\n"))
     _write_manifest(out.parent / (out.name + ".manifest.json"), "train", {
         "map": str(args.map), "traj_dir": str(traj_dir), "seed": args.seed,
         "stride": args.stride, "profile": args.profile,
         "config": asdict(config), "out": str(out),
     }, [out.name, log_path.name], {"wall_s": time.perf_counter() - t0})
     return 0
-
-
-def _dead_reckoning(odom, start: Pose) -> Trajectory:
-    xy = integrate_odometry(odom, (start.x, start.y))
-    theta = integrate_heading(odom, start.theta)
-    from .simulate import wrap_angle
-    t = np.concatenate([[start.t], odom.t])
-    return Trajectory(t=t, xy=xy, theta=wrap_angle(theta))
 
 
 def cmd_localize(args) -> int:
@@ -178,7 +171,7 @@ def cmd_localize(args) -> int:
     timings: dict = {}
 
     if args.method == "odom":
-        est = _dead_reckoning(odom, start)
+        est = dead_reckoning(odom, start)
     elif args.method == "pdr":
         if not args.gt:
             raise CliError("method pdr needs --gt to synthesize step events")
@@ -200,16 +193,11 @@ def cmd_localize(args) -> int:
         est = baselines.crf_match(graph, odom, params, (start.x, start.y))
         timings["crf_params"] = asdict(params)
     else:  # ours / heuristic
-        mode = args.mode
-        fc = (FilterConfig.wheeled() if mode == "wheeled"
-              else FilterConfig.pedestrian())
-        if args.window_len:
-            fc = FilterConfig(**{**asdict(fc), "window_len": args.window_len})
+        fc = getattr(FilterConfig, args.mode)()
         if args.method == "ours":
             if not args.weights:
                 raise CliError("method ours needs --weights")
-            weights, meta = load_weights(args.weights)
-            mcfg = ModelConfig.from_dict(meta["model_config"])
+            weights, mcfg = _load_model(args.weights)
             run = run_filter(odom, occ, "learned", fc, args.seed, start,
                              weights=weights, model_config=mcfg)
         else:
@@ -288,12 +276,13 @@ def cmd_eval(args) -> int:
             "ee_m": float(np.mean([r["ee_m"] for r in per_traj])),
         },
     }
-    _atomic_write_text(out_dir / "metrics.json",
-                       json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    _atomic_file(out_dir / "metrics.json", lambda p: Path(p).write_text(text))
     cdf = metrics.cdf_points(all_errors)
     cdf_lines = ["error_m,fraction"]
     cdf_lines += [f"{e:.9g},{fr:.9g}" for e, fr in cdf]
-    _atomic_write_text(out_dir / "cdf.csv", "\n".join(cdf_lines) + "\n")
+    _atomic_file(out_dir / "cdf.csv",
+                 lambda p: Path(p).write_text("\n".join(cdf_lines) + "\n"))
     _write_manifest(out_dir / "manifest.json", "eval", {
         "est_dir": str(est_dir), "gt_dir": str(gt_dir), "out": str(out_dir),
         "map": str(args.map) if args.map else None,
@@ -342,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--weights", default=None)
     loc.add_argument("--mode", choices=["pedestrian", "wheeled"],
                      default="pedestrian")
-    loc.add_argument("--window-len", type=int, default=None)
     loc.add_argument("--start", default=None, help="x,y[,theta] start pose")
     loc.add_argument("--gt", default=None,
                      help="ground truth CSV (start pose, pdr steps, crf search)")

@@ -38,8 +38,8 @@ def trajectory_error(est: Trajectory, gt: Trajectory) -> TrajectoryError:
         raise ValueError("no overlapping timestamps between trajectories")
     diffs = est.xy[ok] - gt.xy[pick[ok]]
     errors = np.hypot(diffs[:, 0], diffs[:, 1])
-    ee = float(np.hypot(*(est.xy[-1] - gt.xy[-1])))
-    return TrajectoryError(ate=float(np.sqrt(np.mean(errors ** 2))), ee=ee,
+    return TrajectoryError(ate=float(np.sqrt(np.mean(errors ** 2))),
+                           ee=end_error(est, gt),
                            per_step_errors=errors, n_matched=int(ok.sum()),
                            n_total=len(est.t))
 
@@ -78,8 +78,7 @@ def prior_kl(heatmap: np.ndarray, occ: OccupancyMap, gt_xy,
     Penalizes priors that place no mass where the agent actually is.
     """
     ys, xs = np.nonzero(occ.free)
-    centers = np.stack([occ.origin[0] + (xs + 0.5) * occ.resolution,
-                        occ.origin[1] + (ys + 0.5) * occ.resolution], axis=1)
+    centers = np.stack(occ.cell_center(xs, ys), axis=1)
     d2 = ((centers - np.asarray(gt_xy, dtype=np.float64)) ** 2).sum(axis=1)
     g = np.exp(-0.5 * d2 / (sigma * sigma))
     g_total = g.sum()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .tensor import Tensor, constant
+from .tensor import Tensor, constant, make_node
 
 # Gate layout within the stacked 4H dimension: input, forget, cell, output.
 
@@ -58,5 +58,4 @@ def _squeeze_time(x: Tensor) -> Tensor:
         if x.requires_grad:
             x.accumulate(g.reshape(n, 1, f))
 
-    from .tensor import make_node
     return make_node(out, (x,), back)

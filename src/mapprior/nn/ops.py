@@ -19,18 +19,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return make_node(out, (a, b), back)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def back(g):
-        if a.requires_grad:
-            a.accumulate(unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(unbroadcast(-g, b.data.shape))
-
-    return make_node(out, (a, b), back)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
@@ -39,28 +27,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             a.accumulate(unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
             b.accumulate(unbroadcast(g * a.data, b.data.shape))
-
-    return make_node(out, (a, b), back)
-
-
-def scale(a: Tensor, k: float) -> Tensor:
-    out = a.data * k
-
-    def back(g):
-        if a.requires_grad:
-            a.accumulate(g * k)
-
-    return make_node(out, (a,), back)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data @ b.data
-
-    def back(g):
-        if a.requires_grad:
-            a.accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate(a.data.T @ g)
 
     return make_node(out, (a, b), back)
 

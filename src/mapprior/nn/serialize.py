@@ -48,8 +48,16 @@ def load_weights(path) -> tuple[dict[str, np.ndarray], dict]:
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise WeightsFormatError(f"{path}: bad magic (not a weights file)")
+    if len(raw) < 12:
+        raise WeightsFormatError(f"{path}: truncated header")
     (header_len,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12 : 12 + header_len].decode())
+    if 12 + header_len > len(raw):
+        raise WeightsFormatError(
+            f"{path}: header length {header_len} runs past the end of the file")
+    try:
+        header = json.loads(raw[12 : 12 + header_len].decode())
+    except ValueError as exc:
+        raise WeightsFormatError(f"{path}: unreadable header: {exc}") from None
     if header.get("format_version") != FORMAT_VERSION:
         raise WeightsFormatError(
             f"{path}: unsupported format version {header.get('format_version')}")

@@ -46,33 +46,35 @@ class OccupancyMap:
     def width(self) -> int:
         return self.free.shape[1]
 
+    def world_to_cells(self, xy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cells (ix, iy) containing (n, 2) world points, floor convention on
+        edges, plus the (n,) mask of cells inside the grid."""
+        xy = np.asarray(xy, dtype=np.float64)
+        ix = np.floor((xy[:, 0] - self.origin[0]) / self.resolution).astype(int)
+        iy = np.floor((xy[:, 1] - self.origin[1]) / self.resolution).astype(int)
+        inside = (ix >= 0) & (ix < self.width) & (iy >= 0) & (iy < self.height)
+        return ix, iy, inside
+
     def world_to_cell(self, point) -> tuple[int, int]:
         """Cell (ix, iy) containing a world point; floor convention on edges."""
-        x, y = float(point[0]), float(point[1])
-        ix = int(np.floor((x - self.origin[0]) / self.resolution))
-        iy = int(np.floor((y - self.origin[1]) / self.resolution))
-        return ix, iy
+        ix, iy, _ = self.world_to_cells(np.reshape(point, (1, 2)))
+        return int(ix[0]), int(iy[0])
 
-    def cell_center(self, ix: int, iy: int) -> tuple[float, float]:
+    def cell_center(self, ix, iy) -> tuple:
+        """World center of cell (ix, iy); elementwise on index arrays."""
         return (
             self.origin[0] + (ix + 0.5) * self.resolution,
             self.origin[1] + (iy + 0.5) * self.resolution,
         )
 
-    def in_bounds(self, ix: int, iy: int) -> bool:
-        return 0 <= ix < self.width and 0 <= iy < self.height
-
     def is_free(self, point) -> bool:
         """Free/occupied state of the containing cell; out-of-bounds counts as occupied."""
-        ix, iy = self.world_to_cell(point)
-        if not self.in_bounds(ix, iy):
-            return False
-        return bool(self.free[iy, ix])
+        return self.is_free_cell(*self.world_to_cell(point))
 
     def is_free_cell(self, ix: int, iy: int) -> bool:
-        if not self.in_bounds(ix, iy):
-            return False
-        return bool(self.free[iy, ix])
+        """Free/occupied state of a cell; out-of-bounds counts as occupied."""
+        return (0 <= ix < self.width and 0 <= iy < self.height
+                and bool(self.free[iy, ix]))
 
     def free_cells(self) -> np.ndarray:
         """(n, 2) array of (ix, iy) indices of free cells."""

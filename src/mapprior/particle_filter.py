@@ -10,25 +10,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from . import model as prior_model
 from .baselines import heuristic_prior
 from .occupancy import OccupancyMap, segment_hits_obstacle
-from .simulate import (Odometry, Pose, Trajectory, integrate_heading,
-                       integrate_odometry, wrap_angle)
+from .simulate import (PERIOD_ATOL, Odometry, Pose, Trajectory,
+                       integrate_heading, integrate_odometry, wrap_angle)
 
 WEIGHT_FLOOR = 1e-12
-
-
-class Particle(NamedTuple):
-    x: float
-    y: float
-    theta: float
-    weight: float
-    hit_obstacle: bool
 
 
 @dataclass
@@ -42,11 +33,6 @@ class ParticleSet:
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    def particle(self, i: int) -> Particle:
-        return Particle(float(self.xy[i, 0]), float(self.xy[i, 1]),
-                        float(self.theta[i]), float(self.weights[i]),
-                        bool(self.hit_obstacle[i]))
 
 
 @dataclass(frozen=True)
@@ -126,9 +112,7 @@ def reweight(particles: ParticleSet, heatmap: np.ndarray,
     and normalized.  Returns (particles, degenerate) where degenerate means
     every particle sat at the floor and weights fell back to uniform."""
     p = len(particles)
-    ix = np.floor((particles.xy[:, 0] - occ.origin[0]) / occ.resolution).astype(int)
-    iy = np.floor((particles.xy[:, 1] - occ.origin[1]) / occ.resolution).astype(int)
-    inside = (ix >= 0) & (ix < occ.width) & (iy >= 0) & (iy < occ.height)
+    ix, iy, inside = occ.world_to_cells(particles.xy)
     raw = np.full(p, WEIGHT_FLOOR)
     raw[inside] = np.maximum(
         heatmap[iy[inside], ix[inside]].astype(np.float64), WEIGHT_FLOOR)
@@ -183,16 +167,17 @@ def maybe_reinit(particles: ParticleSet, last_estimate: Pose,
     diag = float(np.hypot(*occ.extent_m))
     radius = config.r_reinit
     p = config.particle_count
-    accepted: list[np.ndarray] = []
+    xy = np.empty((0, 2))
     empty_rounds = 0
-    while len(accepted) < p:
-        need = p - len(accepted)
+    while len(xy) < p:
+        need = p - len(xy)
         r = radius * np.sqrt(rng.uniform(0.0, 1.0, 4 * need))
         phi = rng.uniform(-np.pi, np.pi, 4 * need)
         cand = center + np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
-        ok = [c for c in cand if occ.is_free(c)]
-        accepted.extend(ok[:need])
-        if ok:
+        ix, iy, inside = occ.world_to_cells(cand)
+        ok = cand[inside][occ.free[iy[inside], ix[inside]]]
+        xy = np.concatenate([xy, ok[:need]])
+        if len(ok):
             empty_rounds = 0
         else:
             empty_rounds += 1
@@ -201,7 +186,6 @@ def maybe_reinit(particles: ParticleSet, last_estimate: Pose,
             elif empty_rounds > 50:
                 raise ValueError(
                     f"no free space within {radius:.1f} m of the last estimate")
-    xy = np.asarray(accepted)
     if config.mode == "wheeled":
         theta = wrap_angle(rng.uniform(-np.pi, np.pi, p))
     else:
@@ -231,9 +215,14 @@ def run_filter(odom: Odometry, occ: OccupancyMap, prior: str,
     """
     if prior not in ("learned", "heuristic", "none"):
         raise ValueError(f"unknown prior {prior!r}")
+    if not np.allclose(np.diff(odom.t), 1.0 / config.rate_hz,
+                       rtol=0, atol=PERIOD_ATOL):
+        raise ValueError(f"odometry period does not match the filter rate "
+                         f"of {config.rate_hz:g} Hz")
     if prior == "learned":
         if weights is None or model_config is None:
             raise ValueError("learned prior requires weights and model_config")
+        model_config = replace(model_config, window_len=config.window_len)
         map_tensor = prior_model.encode_map(occ, weights, model_config)
 
     rng = np.random.default_rng(seed)
@@ -243,9 +232,7 @@ def run_filter(odom: Odometry, occ: OccupancyMap, prior: str,
     window_len = config.window_len
 
     est = start
-    out_t = [start.t]
-    out_xy = [(start.x, start.y)]
-    out_theta = [start.theta]
+    poses = [start]
     run = FilterRun(estimates=None)  # type: ignore[arg-type]
 
     for i in range(len(odom)):
@@ -264,9 +251,8 @@ def run_filter(odom: Odometry, occ: OccupancyMap, prior: str,
                 cr, sr = np.cos(rot), np.sin(rot)
                 rel = rel @ np.array([[cr, sr], [-sr, cr]])
             if prior == "learned":
-                vec = prior_model.encode_odometry(
-                    rel / occ.resolution,
-                    weights, replace(model_config, window_len=window_len))
+                vec = prior_model.encode_odometry(rel / occ.resolution,
+                                                  weights, model_config)
                 heatmap = prior_model.score(map_tensor, vec)
             else:
                 try:
@@ -283,11 +269,10 @@ def run_filter(odom: Odometry, occ: OccupancyMap, prior: str,
         est = estimate(particles, float(odom.t[i]))
         particles, fired = maybe_reinit(particles, est, config, occ, rng)
         run.reinit_count += int(fired)
-        out_t.append(est.t)
-        out_xy.append((est.x, est.y))
-        out_theta.append(est.theta)
+        poses.append(est)
         run.step_seconds.append(time.perf_counter() - t_start)
 
-    run.estimates = Trajectory(t=np.asarray(out_t), xy=np.asarray(out_xy),
-                               theta=np.asarray(out_theta))
+    run.estimates = Trajectory(t=[q.t for q in poses],
+                               xy=[(q.x, q.y) for q in poses],
+                               theta=[q.theta for q in poses])
     return run

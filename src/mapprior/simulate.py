@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import csv
 import heapq
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +20,7 @@ PEDESTRIAN_SPEED = 1.3   # m/s
 WHEELED_SPEED = 0.2      # m/s
 WHEEL_RADIUS = 0.033     # m
 SIM_DT = 0.1             # internal integration step, s
+PERIOD_ATOL = 1e-9       # s, tolerance on a uniform sample period
 
 
 def wrap_angle(theta):
@@ -36,6 +36,26 @@ class Pose:
     theta: float
 
 
+def _freeze_stream(stream, min_len: int) -> None:
+    """Check a Trajectory's or Odometry's three arrays (timestamps, 2-vectors,
+    angles) and store them as read-only float64: at least min_len samples,
+    matching shapes, finite values, strictly increasing timestamps."""
+    kind = type(stream).__name__.lower()
+    names = [f.name for f in fields(stream)]
+    t, vec, ang = (np.asarray(getattr(stream, n), dtype=np.float64) for n in names)
+    if t.ndim != 1 or len(t) < min_len:
+        raise ValueError(f"{kind} needs at least {min_len} samples")
+    if vec.shape != (len(t), 2) or ang.shape != (len(t),):
+        raise ValueError(f"inconsistent {kind} array shapes")
+    if not all(np.isfinite(a).all() for a in (t, vec, ang)):
+        raise ValueError(f"{kind} has non-finite values")
+    if np.any(np.diff(t) <= 0):
+        raise ValueError(f"{kind} timestamps must be strictly increasing")
+    for name, arr in zip(names, (t, vec, ang)):
+        arr.flags.writeable = False
+        object.__setattr__(stream, name, arr)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled poses in the world frame."""
@@ -45,20 +65,7 @@ class Trajectory:
     theta: np.ndarray   # (n,) radians, wrapped
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=np.float64)
-        xy = np.asarray(self.xy, dtype=np.float64)
-        theta = np.asarray(self.theta, dtype=np.float64)
-        if len(t) < 2:
-            raise ValueError("trajectory needs at least 2 poses")
-        if xy.shape != (len(t), 2) or theta.shape != (len(t),):
-            raise ValueError("inconsistent trajectory array shapes")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("timestamps must be strictly increasing")
-        for arr in (t, xy, theta):
-            arr.flags.writeable = False
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "xy", xy)
-        object.__setattr__(self, "theta", theta)
+        _freeze_stream(self, min_len=2)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -72,13 +79,6 @@ class Trajectory:
         return float(self.t[1] - self.t[0])
 
 
-class OdometrySample(NamedTuple):
-    t: float
-    dx: float
-    dy: float
-    dtheta: float
-
-
 @dataclass(frozen=True)
 class Odometry:
     """Per-step relative displacements; sample i covers (t[i] - period, t[i]]."""
@@ -87,15 +87,11 @@ class Odometry:
     dxy: np.ndarray      # (n, 2) meters
     dtheta: np.ndarray   # (n,)
 
+    def __post_init__(self):
+        _freeze_stream(self, min_len=1)
+
     def __len__(self) -> int:
         return len(self.t)
-
-    def sample(self, i: int) -> OdometrySample:
-        return OdometrySample(float(self.t[i]), float(self.dxy[i, 0]),
-                              float(self.dxy[i, 1]), float(self.dtheta[i]))
-
-    def __iter__(self) -> Iterator[OdometrySample]:
-        return (self.sample(i) for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -202,10 +198,6 @@ def _astar(occ: OccupancyMap, start: tuple[int, int], goal: tuple[int, int]):
     return None
 
 
-def _line_of_sight(occ: OccupancyMap, a, b) -> bool:
-    return not segment_hits_obstacle(occ, a, b)
-
-
 def _shortcut(occ: OccupancyMap, pts: list[tuple[float, float]]):
     """Greedy line-of-sight shortcutting of a polyline."""
     if len(pts) <= 2:
@@ -214,7 +206,7 @@ def _shortcut(occ: OccupancyMap, pts: list[tuple[float, float]]):
     i = 0
     while i < len(pts) - 1:
         j = len(pts) - 1
-        while j > i + 1 and not _line_of_sight(occ, pts[i], pts[j]):
+        while j > i + 1 and segment_hits_obstacle(occ, pts[i], pts[j]):
             j -= 1
         out.append(pts[j])
         i = j
@@ -233,7 +225,7 @@ def _chaikin(occ: OccupancyMap, pts: list[tuple[float, float]]):
         out.append(tuple(0.25 * p + 0.75 * q))
     out.append(pts[-1])
     for a, b in zip(out, out[1:]):
-        if not _line_of_sight(occ, a, b):
+        if segment_hits_obstacle(occ, a, b):
             return pts
     return out
 
@@ -371,7 +363,7 @@ def corrupt_to_odometry(traj: Trajectory, noise: NoiseProfile,
     the displacement frame (wheel-style drift).
     """
     periods = np.diff(traj.t)
-    if not np.allclose(periods, periods[0], rtol=0, atol=1e-9):
+    if not np.allclose(periods, periods[0], rtol=0, atol=PERIOD_ATOL):
         raise ValueError("trajectory must be uniformly sampled")
     rng = np.random.default_rng(seed)
     n = len(traj) - 1
@@ -410,6 +402,13 @@ def integrate_heading(odom: Odometry, start_theta: float = 0.0) -> np.ndarray:
     return np.concatenate([[start_theta], start_theta + np.cumsum(odom.dtheta)])
 
 
+def dead_reckoning(odom: Odometry, start: Pose) -> Trajectory:
+    """Odometry integrated from the start pose, start included: n+1 poses."""
+    return Trajectory(t=np.concatenate([[start.t], odom.t]),
+                      xy=integrate_odometry(odom, (start.x, start.y)),
+                      theta=wrap_angle(integrate_heading(odom, start.theta)))
+
+
 def window(positions: np.ndarray, n_seconds: float, rate_hz: float) -> np.ndarray:
     """All length-L windows of positions, re-zeroed at each window start.
 
@@ -436,40 +435,49 @@ def _fmt(v: float) -> str:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["t", "x", "y", "theta"])
-        for i in range(len(traj)):
-            out.writerow([_fmt(traj.t[i]), _fmt(traj.xy[i, 0]),
-                          _fmt(traj.xy[i, 1]), _fmt(traj.theta[i])])
+    _write_csv(path, ["t", "x", "y", "theta"], traj.t, traj.xy, traj.theta)
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    rows = _read_csv(path, ["t", "x", "y", "theta"])
-    return Trajectory(t=rows[:, 0], xy=rows[:, 1:3], theta=rows[:, 3])
+    return _read_csv(path, Trajectory, ["t", "x", "y", "theta"])
 
 
 def write_odometry_csv(odom: Odometry, path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["t", "dx", "dy", "dtheta"])
-        for i in range(len(odom)):
-            out.writerow([_fmt(odom.t[i]), _fmt(odom.dxy[i, 0]),
-                          _fmt(odom.dxy[i, 1]), _fmt(odom.dtheta[i])])
+    _write_csv(path, ["t", "dx", "dy", "dtheta"], odom.t, odom.dxy, odom.dtheta)
 
 
 def read_odometry_csv(path) -> Odometry:
-    rows = _read_csv(path, ["t", "dx", "dy", "dtheta"])
-    return Odometry(t=rows[:, 0], dxy=rows[:, 1:3], dtheta=rows[:, 3])
+    return _read_csv(path, Odometry, ["t", "dx", "dy", "dtheta"])
 
 
-def _read_csv(path, expected_header: list[str]) -> np.ndarray:
+def _write_csv(path, header: list[str], t, vec, ang) -> None:
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(header)
+        for row in np.column_stack([t, vec, ang]):
+            out.writerow([_fmt(v) for v in row])
+
+
+def _read_csv(path, cls, expected_header: list[str]):
+    """A Trajectory or Odometry from a CSV of the given header; malformed rows
+    and arrays the class rejects raise ValueError naming the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != expected_header:
             raise ValueError(f"{path}: expected header {expected_header}, got {header}")
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in filter(None, reader):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, header has {len(header)}")
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.float64)
+    try:
+        return cls(rows[:, 0], rows[:, 1:3], rows[:, 3])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -17,7 +17,6 @@ itself is the heuristic prior of `baselines`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
@@ -49,14 +48,6 @@ class TrajectoryKernel:
 
     grid: np.ndarray
     anchor: tuple[int, int]
-
-    @property
-    def height(self) -> int:
-        return self.grid.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.grid.shape[1]
 
 
 @dataclass(frozen=True)
@@ -180,18 +171,7 @@ def location_target(occ: OccupancyMap, end_xy) -> np.ndarray:
     the floor plus the Gaussian-smoothed posterior of the end position given
     the crop and the window, which is positive on every free cell.
     """
-    xs = occ.origin[0] + (np.arange(occ.width) + 0.5) * occ.resolution
-    ys = occ.origin[1] + (np.arange(occ.height) + 0.5) * occ.resolution
+    xs, ys = occ.cell_center(np.arange(occ.width), np.arange(occ.height))
     d2 = (xs[None, :] - end_xy[0]) ** 2 + (ys[:, None] - end_xy[1]) ** 2
     peak = np.exp(-0.5 * d2 / LOCATION_SIGMA_M ** 2)
     return np.where(occ.free, LOCATION_FLOOR + peak, 0.0)
-
-
-def dump_target_pgm(target: TargetMap, path) -> None:
-    """Linear 0-255 visualization of the target values, for eyeballing."""
-    v = target.values
-    lo, hi = float(v.min()), float(v.max())
-    scaled = np.zeros_like(v) if hi == lo else (v - lo) / (hi - lo)
-    pixels = np.round(scaled * 255).astype(np.uint8)
-    header = f"P5\n{v.shape[1]} {v.shape[0]}\n255\n".encode()
-    Path(path).write_bytes(header + pixels.tobytes())

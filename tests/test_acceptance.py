@@ -22,10 +22,9 @@ from mapprior.nn.tensor import constant
 from mapprior.occupancy import OccupancyMap, save_map
 from mapprior.particle_filter import (FilterConfig, ParticleSet,
                                       resample_low_variance, run_filter)
-from mapprior.simulate import (NoiseProfile, Odometry, Trajectory,
-                               corrupt_to_odometry, generate_trajectory,
-                               integrate_heading, integrate_odometry,
-                               window, wrap_angle)
+from mapprior.simulate import (NoiseProfile, Odometry, corrupt_to_odometry,
+                               dead_reckoning, generate_trajectory,
+                               integrate_odometry, window)
 from mapprior.targets import (TARGET_GAIN, TARGET_SCALE, TrajectoryKernel,
                               cross_correlate, make_target, rasterize_kernel)
 
@@ -66,12 +65,6 @@ def pipeline():
         "history": history,
         "setup_seconds": time.perf_counter() - t0,
     }
-
-
-def dead_reckoning(odom: Odometry, start) -> Trajectory:
-    xy = integrate_odometry(odom, (start.x, start.y))
-    theta = wrap_angle(integrate_heading(odom, start.theta))
-    return Trajectory(t=np.concatenate([[start.t], odom.t]), xy=xy, theta=theta)
 
 
 class TestCriterion1GradientCorrectness:

@@ -6,6 +6,7 @@ import pytest
 
 from mapprior import synthmaps
 from mapprior.cli import main
+from mapprior.nn import load_weights, save_weights
 from mapprior.occupancy import save_map
 from mapprior.simulate import (integrate_odometry, read_odometry_csv,
                                read_trajectory_csv)
@@ -180,6 +181,62 @@ class TestLocalize:
         assert rc == 0
         est = read_trajectory_csv(p)
         assert tuple(est.xy[0]) == (2.5, 3.5)
+
+
+def localize_error(tmp_path, map_path, odom_path, capsys, *extra) -> str:
+    """Run localize expecting a failure; returns its one stderr line."""
+    rc = main(["localize", "--map", str(map_path), "--odom", str(odom_path),
+               "--start", "1,1", "--out", str(tmp_path / "e.csv"), *extra])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "e.csv").exists()
+    return err
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("rows, message", [
+        ("1,0.5,0,0\n2,0.5,0\n", "line 3: 3 fields"),
+        ("1,0.5,0,0\n2,nan,0,0\n", "non-finite"),
+        ("1,0.5,0,0\n3,0.5,0,0\n2,0.5,0,0\n", "strictly increasing"),
+    ])
+    def test_bad_odometry_csv_exits_2(self, tmp_path, map_path, capsys, rows,
+                                      message):
+        odom = tmp_path / "odom.csv"
+        odom.write_text("t,dx,dy,dtheta\n" + rows)
+        err = localize_error(tmp_path, map_path, odom, capsys,
+                             "--method", "heuristic")
+        assert "odom.csv" in err and message in err
+
+    def test_odometry_rate_other_than_filter_rate_exits_2(self, tmp_path,
+                                                          map_path, capsys):
+        odom = tmp_path / "odom.csv"
+        odom.write_text("t,dx,dy,dtheta\n0.5,0.1,0,0\n1,0.1,0,0\n1.5,0.1,0,0\n")
+        err = localize_error(tmp_path, map_path, odom, capsys,
+                             "--method", "heuristic")
+        assert "period" in err
+
+    def test_short_weights_file_exits_2(self, tmp_path, map_path, sim_dir,
+                                        capsys):
+        weights = tmp_path / "w.lmw"
+        weights.write_bytes(b"LMPW0001\x00")
+        err = localize_error(tmp_path, map_path, sim_dir / "odom_000.csv",
+                             capsys, "--method", "ours", "--weights", str(weights))
+        assert "truncated header" in err
+
+    def test_weights_not_matching_their_config_exit_2(self, tmp_path, map_path,
+                                                      sim_dir, trained, capsys):
+        weights, meta = load_weights(trained)
+        missing = {k: v for k, v in weights.items() if k != "unet.enc1.c1.w"}
+        save_weights(tmp_path / "missing.lmw", missing, meta)
+        wide = {**meta, "model_config": {**meta["model_config"], "base_width": 8}}
+        save_weights(tmp_path / "wide.lmw", weights, wide)
+        for name, detail in (("missing.lmw", "unet.enc1.c1.w is missing"),
+                             ("wide.lmw", "unet.dec0.c1.b is (4,) in the file but (8,)")):
+            err = localize_error(tmp_path, map_path, sim_dir / "odom_000.csv",
+                                 capsys, "--method", "ours",
+                                 "--weights", str(tmp_path / name))
+            assert name in err and detail in err
 
 
 class TestEval:

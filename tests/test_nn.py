@@ -5,7 +5,7 @@ from mapprior import nn
 from mapprior.nn import (AdamState, adam_step, backward, constant,
                          finite_difference_check, load_weights, parameter,
                          save_weights, zero_grads)
-from mapprior.nn.serialize import WeightsFormatError
+from mapprior.nn.serialize import MAGIC, WeightsFormatError
 
 
 def conv2d_oracle(x, w, b, stride=1, ph=1, pw=1):
@@ -296,4 +296,16 @@ class TestSerialize:
         raw = path.read_bytes()
         path.write_bytes(raw[:-4])
         with pytest.raises(WeightsFormatError, match="truncated"):
+            load_weights(path)
+
+    def test_file_shorter_than_header_rejected(self, tmp_path):
+        path = tmp_path / "w.lmw"
+        path.write_bytes(MAGIC + b"\x00")
+        with pytest.raises(WeightsFormatError, match="truncated header"):
+            load_weights(path)
+
+    def test_header_length_past_end_rejected(self, tmp_path):
+        path = tmp_path / "w.lmw"
+        path.write_bytes(MAGIC + (1000).to_bytes(4, "little") + b"{}")
+        with pytest.raises(WeightsFormatError, match="past the end"):
             load_weights(path)

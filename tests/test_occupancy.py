@@ -87,6 +87,20 @@ class TestIsFree:
                 point = rooms_map.cell_center(ix, iy)
                 assert rooms_map.is_free(point) == rooms_map.free[iy, ix]
 
+    def test_vectorised_cells_match_scalar_on_edges_and_outside(self):
+        occ = OccupancyMap(np.random.default_rng(1).random((7, 9)) < 0.6,
+                           resolution=0.1, origin=(-0.3, 0.2))
+        rng = np.random.default_rng(2)
+        edges = occ.origin + 0.1 * rng.integers(-3, 12, (200, 2))
+        pts = np.vstack([edges, rng.uniform(-1.0, 2.0, (200, 2))])
+        ix, iy, inside = occ.world_to_cells(pts)
+        for k, (x, y) in enumerate(pts):
+            want = (int(np.floor((x - occ.origin[0]) / occ.resolution)),
+                    int(np.floor((y - occ.origin[1]) / occ.resolution)))
+            assert (ix[k], iy[k]) == want == occ.world_to_cell((x, y))
+            assert inside[k] == (0 <= want[0] < occ.width and 0 <= want[1] < occ.height)
+        assert inside.any() and not inside.all()
+
     def test_world_cell_round_trip(self, rooms_map):
         rng = np.random.default_rng(0)
         for _ in range(200):

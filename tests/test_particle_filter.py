@@ -11,7 +11,9 @@ from mapprior.particle_filter import (FilterConfig, ParticleSet, estimate,
                                       run_filter)
 from mapprior.simulate import (NoiseProfile, Odometry, Pose,
                                corrupt_to_odometry, generate_trajectory,
-                               integrate_odometry)
+                               integrate_odometry, wrap_angle)
+
+from conftest import random_map
 
 
 def make_set(xy, theta=None, weights=None, hits=None) -> ParticleSet:
@@ -270,6 +272,99 @@ class TestMaybeReinit:
         assert np.all(out.theta > -np.pi) and np.all(out.theta <= np.pi)
 
 
+def scalar_is_free(occ, point) -> bool:
+    """The free-space test of one world point, written out in scalars."""
+    ix = int(np.floor((float(point[0]) - occ.origin[0]) / occ.resolution))
+    iy = int(np.floor((float(point[1]) - occ.origin[1]) / occ.resolution))
+    return 0 <= ix < occ.width and 0 <= iy < occ.height and bool(occ.free[iy, ix])
+
+
+def reinit_loop_oracle(particles, last_estimate, config, occ, rng):
+    """maybe_reinit with a per-candidate free-space test, the slow, obvious
+    version of its vectorised test."""
+    if not particles.hit_obstacle.mean() > config.s_reinit:
+        particles.hit_obstacle[:] = False
+        return particles, False
+    center = np.array([last_estimate.x, last_estimate.y])
+    diag = float(np.hypot(*occ.extent_m))
+    radius = config.r_reinit
+    p = config.particle_count
+    accepted = []
+    empty_rounds = 0
+    while len(accepted) < p:
+        need = p - len(accepted)
+        r = radius * np.sqrt(rng.uniform(0.0, 1.0, 4 * need))
+        phi = rng.uniform(-np.pi, np.pi, 4 * need)
+        cand = center + np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
+        ok = [c for c in cand if scalar_is_free(occ, c)]
+        accepted.extend(ok[:need])
+        if ok:
+            empty_rounds = 0
+        else:
+            empty_rounds += 1
+            if radius < diag:
+                radius = min(2.0 * radius, diag)
+            elif empty_rounds > 50:
+                raise ValueError("no free space")
+    if config.mode == "wheeled":
+        theta = wrap_angle(rng.uniform(-np.pi, np.pi, p))
+    else:
+        theta = np.zeros(p)
+    return ParticleSet(xy=np.asarray(accepted), theta=theta,
+                       weights=np.full(p, 1.0 / p),
+                       hit_obstacle=np.zeros(p, dtype=bool)), True
+
+
+class EdgeRng:
+    """Random draws that put reinit candidates exactly on cell edges and
+    corners: radii are whole multiples of `step`, angles are multiples of
+    pi / 2, so with a center on a cell corner the candidates fall on grid
+    lines (or within rounding of them, where cos and sin are not exact)."""
+
+    def __init__(self, seed: int, step: float, radius: float):
+        self.rng = np.random.default_rng(seed)
+        self.step, self.radius = step, radius
+
+    def uniform(self, low, high, size):
+        if (low, high) == (0.0, 1.0):  # radial draw, r = radius * sqrt(u)
+            k = self.rng.integers(0, int(self.radius / self.step) + 1, size)
+            return (k * self.step / self.radius) ** 2
+        return self.rng.choice([-np.pi, -np.pi / 2, 0.0, np.pi / 2, np.pi], size)
+
+
+class TestReinitOracle:
+    """The vectorised free-space test in maybe_reinit accepts the same
+    candidates, in the same order, as a per-candidate is_free loop."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_draws_match_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        occ = random_map(rng, 24, 32, p_free=0.5)   # 8 m x 6 m at 0.25 m
+        center = rng.uniform(-2.0, 10.0, 2)         # sometimes off the map
+        cfg = FilterConfig(particle_count=300, s_reinit=0.5,
+                           r_reinit=float(rng.uniform(0.5, 6.0)),
+                           mode="wheeled" if seed % 2 else "pedestrian")
+        ps = make_set(np.tile(center, (300, 1)), hits=np.ones(300, dtype=bool))
+        est = Pose(0.0, float(center[0]), float(center[1]), 0.0)
+        got, fired = maybe_reinit(ps, est, cfg, occ, np.random.default_rng(seed))
+        want, _ = reinit_loop_oracle(ps, est, cfg, occ, np.random.default_rng(seed))
+        assert fired
+        assert np.array_equal(got.xy, want.xy)
+        assert np.array_equal(got.theta, want.theta)
+
+    @pytest.mark.parametrize("center", [(2.0, 3.0), (0.0, 0.0), (8.0, 6.0),
+                                        (-0.5, 3.25)])
+    def test_candidates_on_cell_edges_match_loop(self, center):
+        occ = random_map(np.random.default_rng(5), 24, 32, p_free=0.5)
+        cfg = FilterConfig(particle_count=400, s_reinit=0.5, r_reinit=4.0)
+        ps = make_set(np.tile(center, (400, 1)), hits=np.ones(400, dtype=bool))
+        est = Pose(0.0, *center, 0.0)
+        got, _ = maybe_reinit(ps, est, cfg, occ, EdgeRng(1, 0.25, 4.0))
+        want, _ = reinit_loop_oracle(ps, est, cfg, occ, EdgeRng(1, 0.25, 4.0))
+        assert np.array_equal(got.xy, want.xy)
+        assert np.any(np.mod(got.xy, 0.25) == 0.0)
+
+
 class TestRunFilter:
     def test_none_prior_zero_noise_equals_integration(self, open_map):
         gt = generate_trajectory(open_map, seed=21, duration_s=40.0)
@@ -302,6 +397,16 @@ class TestRunFilter:
         with pytest.raises(ValueError, match="weights"):
             run_filter(odom, open_map, "learned", FilterConfig(), 0,
                        Pose(0, 5, 5, 0))
+
+    def test_odometry_period_must_match_filter_rate(self, open_map):
+        odom = Odometry(t=np.arange(1.0, 6.0) * 0.5, dxy=np.zeros((5, 2)),
+                        dtheta=np.zeros(5))
+        with pytest.raises(ValueError, match="period"):
+            run_filter(odom, open_map, "none", FilterConfig(), 0,
+                       Pose(0, 5, 5, 0))
+        run = run_filter(odom, open_map, "none", FilterConfig(rate_hz=2.0), 0,
+                         Pose(0, 5, 5, 0))
+        assert len(run.estimates) == 6
 
     def test_wheeled_window_is_ground_truth_relative_window(self, open_map,
                                                             monkeypatch):

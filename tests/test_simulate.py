@@ -3,11 +3,11 @@ import pytest
 
 from mapprior import synthmaps
 from mapprior.simulate import (NoiseProfile, Odometry, Trajectory,
-                               corrupt_to_odometry, diff_drive_step,
-                               generate_trajectory, integrate_odometry,
-                               read_odometry_csv, read_trajectory_csv, window,
-                               wrap_angle, write_odometry_csv,
-                               write_trajectory_csv)
+                               corrupt_to_odometry, dead_reckoning,
+                               diff_drive_step, generate_trajectory,
+                               integrate_odometry, read_odometry_csv,
+                               read_trajectory_csv, window, wrap_angle,
+                               write_odometry_csv, write_trajectory_csv)
 
 
 class TestDiffDrive:
@@ -187,6 +187,73 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
             read_trajectory_csv(path)
+
+    def test_row_with_missing_field_names_file_and_line(self, tmp_path):
+        path = tmp_path / "o.csv"
+        path.write_text("t,dx,dy,dtheta\n1,0.5,0,0\n2,0.5,0\n")
+        with pytest.raises(ValueError, match=r"o\.csv: line 3: 3 fields"):
+            read_odometry_csv(path)
+
+    def test_non_finite_value_names_file(self, tmp_path):
+        path = tmp_path / "o.csv"
+        path.write_text("t,dx,dy,dtheta\n1,0.5,0,0\n2,nan,0,0\n")
+        with pytest.raises(ValueError, match=r"o\.csv: odometry has non-finite"):
+            read_odometry_csv(path)
+
+
+def odometry(t=(1.0, 2.0, 3.0), dxy=None, dtheta=None) -> Odometry:
+    n = len(t)
+    return Odometry(t=np.asarray(t, dtype=float),
+                    dxy=np.ones((n, 2)) if dxy is None else dxy,
+                    dtheta=np.zeros(n) if dtheta is None else dtheta)
+
+
+class TestStreamValidation:
+    def test_valid_odometry_is_read_only_float64(self):
+        odom = odometry(t=np.array([1, 2, 3]))
+        assert odom.t.dtype == np.float64
+        with pytest.raises(ValueError):
+            odom.dxy[0, 0] = 5.0
+
+    @pytest.mark.parametrize("bad", [
+        {"dxy": np.array([[1.0, 1.0], [np.nan, 1.0], [1.0, 1.0]])},
+        {"dtheta": np.array([0.0, np.inf, 0.0])},
+        {"t": (1.0, np.nan, 3.0)},
+    ])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            odometry(**bad)
+
+    def test_decreasing_timestamps_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            odometry(t=(1.0, 3.0, 2.0))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shapes"):
+            odometry(dxy=np.ones((3, 3)))
+
+    def test_empty_odometry_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            odometry(t=())
+
+    def test_trajectory_needs_two_poses(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            Trajectory(t=[0.0], xy=[[0.0, 0.0]], theta=[0.0])
+
+    def test_trajectory_nan_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Trajectory(t=[0.0, 1.0], xy=[[0.0, 0.0], [np.nan, 0.0]],
+                       theta=[0.0, 0.0])
+
+
+class TestDeadReckoning:
+    def test_noiseless_odometry_reproduces_trajectory(self, rooms_map):
+        gt = generate_trajectory(rooms_map, seed=3, duration_s=30.0)
+        odom = corrupt_to_odometry(gt, NoiseProfile.noiseless(), seed=0)
+        est = dead_reckoning(odom, gt.pose(0))
+        assert np.array_equal(est.t, gt.t)
+        assert np.allclose(est.xy, gt.xy, atol=1e-9)
+        assert np.allclose(wrap_angle(est.theta - gt.theta), 0.0, atol=1e-9)
 
 
 class TestWrapAngle:
