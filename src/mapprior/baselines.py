@@ -26,7 +26,7 @@ def heuristic_prior(occ: OccupancyMap, window_xy: np.ndarray) -> np.ndarray:
 
 
 def pdr(step_times: np.ndarray, headings: np.ndarray, start_xy=(0.0, 0.0),
-        start_t: float | None = None, stride: float = PDR_STRIDE) -> Trajectory:
+        start_t: float | None = None) -> Trajectory:
     """Dead reckoning: a fixed stride along the heading at each step event."""
     step_times = np.asarray(step_times, dtype=np.float64)
     headings = np.asarray(headings, dtype=np.float64)
@@ -39,15 +39,14 @@ def pdr(step_times: np.ndarray, headings: np.ndarray, start_xy=(0.0, 0.0),
         start_t = step_times[0] - 1.0
     xy = np.zeros((len(step_times) + 1, 2))
     xy[0] = start_xy
-    steps = stride * np.stack([np.cos(headings), np.sin(headings)], axis=1)
+    steps = PDR_STRIDE * np.stack([np.cos(headings), np.sin(headings)], axis=1)
     xy[1:] = np.asarray(start_xy) + np.cumsum(steps, axis=0)
     t = np.concatenate([[start_t], step_times])
     theta = np.concatenate([[headings[0]], headings])
     return Trajectory(t=t, xy=xy, theta=wrap_angle(theta))
 
 
-def synthesize_steps(traj: Trajectory, stride: float = PDR_STRIDE,
-                     heading_bias_per_step: float = 0.0,
+def synthesize_steps(traj: Trajectory, heading_bias_per_step: float = 0.0,
                      heading_noise_sigma: float = 0.0,
                      seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Step events and drifting headings derived from a ground-truth walk.
@@ -61,13 +60,13 @@ def synthesize_steps(traj: Trajectory, stride: float = PDR_STRIDE,
     seg_len = np.hypot(seg[:, 0], seg[:, 1])
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
     total = cum[-1]
-    n_steps = int(total / stride)
+    n_steps = int(total / PDR_STRIDE)
     if n_steps < 1:
         raise ValueError("trajectory too short for a single stride")
     times = np.empty(n_steps)
     headings = np.empty(n_steps)
     for k in range(n_steps):
-        s = (k + 1) * stride
+        s = (k + 1) * PDR_STRIDE
         i = int(np.searchsorted(cum, s, side="right")) - 1
         i = min(i, len(seg) - 1)
         frac = (s - cum[i]) / seg_len[i] if seg_len[i] > 0 else 0.0
@@ -134,26 +133,6 @@ def build_graph(occ: OccupancyMap, edge_length: float) -> LocationGraph:
             neighbors[b].append(a)
     return LocationGraph(nodes=nodes, edges=edges, neighbors=neighbors,
                          edge_length=edge_length)
-
-
-def largest_component(graph: LocationGraph) -> np.ndarray:
-    """Node indices of the largest connected component."""
-    seen = np.full(len(graph), -1)
-    comp = 0
-    for root in range(len(graph)):
-        if seen[root] >= 0:
-            continue
-        stack = [root]
-        seen[root] = comp
-        while stack:
-            v = stack.pop()
-            for u in graph.neighbors[v]:
-                if seen[u] < 0:
-                    seen[u] = comp
-                    stack.append(u)
-        comp += 1
-    counts = np.bincount(seen)
-    return np.nonzero(seen == counts.argmax())[0]
 
 
 def crf_match(graph: LocationGraph, odom: Odometry, params: CrfParams,

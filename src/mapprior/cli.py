@@ -115,7 +115,7 @@ def cmd_simulate(args) -> int:
     outputs = []
     for k in range(args.n_trajs):
         traj = generate_trajectory(occ, int(seeds[2 * k]), args.duration,
-                                   profile=args.profile, rate_hz=args.rate)
+                                   profile=args.profile)
         odom = corrupt_to_odometry(traj, noise, int(seeds[2 * k + 1]),
                                    resolution=occ.resolution)
         gt_path = out_dir / f"gt_{k:03d}.csv"
@@ -125,8 +125,7 @@ def cmd_simulate(args) -> int:
         outputs += [gt_path.name, odom_path.name]
     _write_manifest(out_dir / "manifest.json", "simulate", {
         "map": str(args.map), "profile": args.profile, "n_trajs": args.n_trajs,
-        "duration": args.duration, "seed": args.seed, "rate": args.rate,
-        "out": str(out_dir),
+        "duration": args.duration, "seed": args.seed, "out": str(out_dir),
     }, outputs, {"wall_s": time.perf_counter() - t0})
     return 0
 
@@ -302,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default="pedestrian")
     sim.add_argument("--n-trajs", type=int, default=4)
     sim.add_argument("--duration", type=float, default=120.0)
-    sim.add_argument("--rate", type=float, default=1.0)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True)
     sim.set_defaults(fn=cmd_simulate)

@@ -26,7 +26,7 @@ import numpy as np
 from . import nn
 from .nn.tensor import Tensor, backward, constant, parameter, zero_grads
 from .occupancy import OccupancyMap, crop
-from .simulate import NoiseProfile, Trajectory, window
+from .simulate import PERIOD_ATOL, NoiseProfile, Trajectory, window
 # make_target stays importable from here: perfbench traces model.make_target.
 from .targets import location_target, make_target  # noqa: F401
 
@@ -75,10 +75,17 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
+        """Config from parsed JSON; a float field also accepts an int."""
+        if not isinstance(d, dict):
+            raise ValueError("model config is not a JSON object")
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(d) - set(types)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in d.items():
+            kind = {"int": int, "float": (int, float)}[types[key]]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"config {key} must be {types[key]}, not {value!r}")
         return cls(**d)
 
 
@@ -226,8 +233,12 @@ def build_training_set(occ: OccupancyMap, trajectories: list[Trajectory],
     Crop centers are jittered so the window's true end stays inside the
     central half of the crop.  The target is `location_target` of the true
     end position with unit loss weights; the window is the clean window with
-    `augment_window` noise.  config.target_dilate has no effect.
+    `augment_window` noise.  config.target_dilate has no effect.  Windows
+    are sample counts, so every trajectory must have a 1 s period.
     """
+    for traj in trajectories:
+        if not np.allclose(np.diff(traj.t), 1.0, rtol=0, atol=PERIOD_ATOL):
+            raise ValueError("training trajectories must be sampled at 1 Hz")
     rng = np.random.default_rng(seed)
     res = occ.resolution
     jitter = config.crop_size // 4

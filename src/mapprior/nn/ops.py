@@ -131,80 +131,57 @@ def sum_all(x: Tensor) -> Tensor:
     return make_node(out, (x,), back)
 
 
-def _resolve_padding(padding, kh: int, kw: int) -> tuple[int, int]:
-    if padding == "same":
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ValueError("'same' padding requires odd kernel dims")
-        return (kh - 1) // 2, (kw - 1) // 2
-    if padding == "valid":
-        return 0, 0
-    return int(padding), int(padding)
-
-
-def _tap(xp: np.ndarray, i: int, j: int, oh: int, ow: int,
-         stride: int) -> np.ndarray:
+def _tap(xp: np.ndarray, i: int, j: int, oh: int, ow: int) -> np.ndarray:
     """Contiguous (N, C, OH*OW) view of the inputs under kernel tap (i, j)."""
     n, c = xp.shape[:2]
-    xs = xp[:, :, i : i + (oh - 1) * stride + 1 : stride,
-            j : j + (ow - 1) * stride + 1 : stride]
+    xs = xp[:, :, i : i + oh, j : j + ow]
     return np.ascontiguousarray(xs).reshape(n, c, oh * ow)
 
 
-def _correlate(x: np.ndarray, w: np.ndarray, ph: int, pw: int, stride: int):
+def _correlate(x: np.ndarray, w: np.ndarray, ph: int, pw: int):
     """Cross-correlation as one GEMM per kernel tap; returns (out, padded x)."""
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
     n, _, hp, wp = xp.shape
     f, _, kh, kw = w.shape
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
+    oh, ow = hp - kh + 1, wp - kw + 1
     out = np.zeros((n, f, oh * ow), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            out += np.ascontiguousarray(w[:, :, i, j]) @ _tap(xp, i, j, oh, ow, stride)
+            out += np.ascontiguousarray(w[:, :, i, j]) @ _tap(xp, i, j, oh, ow)
     return out.reshape(n, f, oh, ow), xp
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
-           padding="same") -> Tensor:
-    """Cross-correlation convolution: x (N,C,H,W), w (F,C,kh,kw), b (F,)."""
+def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """'Same'-padded, stride-1 cross-correlation: x (N,C,H,W), w (F,C,kh,kw)
+    with odd kh and kw, b (F,)."""
     n, c, h, wd = x.data.shape
     f, cw, kh, kw = w.data.shape
     if cw != c:
         raise ValueError(f"input has {c} channels, kernel expects {cw}")
-    ph, pw = _resolve_padding(padding, kh, kw)
-    out, xp = _correlate(x.data, w.data, ph, pw, stride)
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ValueError("'same' padding requires odd kernel dims")
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    out, xp = _correlate(x.data, w.data, ph, pw)
     out += b.data[:, None, None]
-    oh, ow = out.shape[2], out.shape[3]
 
     def back(g):
         if b.requires_grad:
             b.accumulate(g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
-            g3 = np.ascontiguousarray(g).reshape(n, f, oh * ow)
+            g3 = np.ascontiguousarray(g).reshape(n, f, h * wd)
             dw = np.empty_like(w.data)
             for i in range(kh):
                 for j in range(kw):
-                    xs = _tap(xp, i, j, oh, ow, stride)
+                    xs = _tap(xp, i, j, h, wd)
                     dw[:, :, i, j] = (g3 @ xs.transpose(0, 2, 1)).sum(axis=0)
             w.accumulate(dw)
         if x.requires_grad:
-            # dx is the correlation of the (dilated) output gradient with the
-            # spatially flipped kernel, channels swapped.
-            if stride > 1:
-                gd = np.zeros((n, f, (oh - 1) * stride + 1,
-                               (ow - 1) * stride + 1), dtype=g.dtype)
-                gd[:, :, ::stride, ::stride] = g
-            else:
-                gd = np.ascontiguousarray(g)
+            # dx is the correlation of the output gradient with the spatially
+            # flipped kernel, channels swapped.
             w_flip = np.ascontiguousarray(
                 w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-            dxp, _ = _correlate(gd, w_flip, kh - 1, kw - 1, 1)
-            dx = dxp[:, :, ph : ph + h, pw : pw + wd]
-            if dx.shape[2:] != (h, wd):  # stride tail that the forward dropped
-                full = np.zeros((n, c, h, wd), dtype=dx.dtype)
-                full[:, :, : dx.shape[2], : dx.shape[3]] = dx
-                dx = full
-            x.accumulate(dx)
+            dxp, _ = _correlate(np.ascontiguousarray(g), w_flip, kh - 1, kw - 1)
+            x.accumulate(dxp[:, :, ph : ph + h, pw : pw + wd])
 
     return make_node(out, (x, w, b), back)
 

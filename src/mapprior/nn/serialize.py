@@ -44,6 +44,12 @@ def save_weights(path, params: dict, meta: dict | None = None) -> None:
             fh.write(blob)
 
 
+def _is_layer(layer) -> bool:
+    return (isinstance(layer, dict) and isinstance(layer.get("name"), str)
+            and isinstance(layer.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in layer["shape"]))
+
+
 def load_weights(path) -> tuple[dict[str, np.ndarray], dict]:
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
@@ -58,9 +64,17 @@ def load_weights(path) -> tuple[dict[str, np.ndarray], dict]:
         header = json.loads(raw[12 : 12 + header_len].decode())
     except ValueError as exc:
         raise WeightsFormatError(f"{path}: unreadable header: {exc}") from None
+    if not isinstance(header, dict):
+        raise WeightsFormatError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise WeightsFormatError(
             f"{path}: unsupported format version {header.get('format_version')}")
+    if not (isinstance(header.get("layers"), list)
+            and all(_is_layer(layer) for layer in header["layers"])):
+        raise WeightsFormatError(f"{path}: header needs a list of layers, each with "
+                                 "a string name and a shape of non-negative ints")
+    if not isinstance(header.get("meta", {}), dict):
+        raise WeightsFormatError(f"{path}: header meta is not a JSON object")
     params: dict[str, np.ndarray] = {}
     offset = 12 + header_len
     for layer in header["layers"]:

@@ -143,11 +143,12 @@ def _read_pgm_tokens(raw: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, i
 
 
-def load_map(pgm_path, meta_path=None, threshold: int = FREE_THRESHOLD) -> OccupancyMap:
+def load_map(pgm_path, meta_path=None) -> OccupancyMap:
     """Load a binary P5 PGM plus its JSON sidecar into an OccupancyMap.
 
-    Pixels >= threshold are free, the rest occupied.  The sidecar must provide
-    resolution_m_per_px and the world origin of pixel (0, 0).
+    Pixels >= FREE_THRESHOLD are free, the rest occupied.  The sidecar is a
+    JSON object giving resolution_m_per_px and the world origin of pixel
+    (0, 0) as numbers.
     """
     pgm_path = Path(pgm_path)
     if meta_path is None:
@@ -175,14 +176,18 @@ def load_map(pgm_path, meta_path=None, threshold: int = FREE_THRESHOLD) -> Occup
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
 
     meta = json.loads(Path(meta_path).read_text())
-    try:
-        resolution = float(meta["resolution_m_per_px"])
-        origin = (float(meta["origin_x_m"]), float(meta["origin_y_m"]))
-    except KeyError as exc:
-        raise MapError(f"{meta_path}: missing sidecar key {exc}") from None
+    if not isinstance(meta, dict):
+        raise MapError(f"{meta_path}: sidecar is not a JSON object")
+    keys = ("resolution_m_per_px", "origin_x_m", "origin_y_m")
+    for key in keys:
+        if key not in meta:
+            raise MapError(f"{meta_path}: missing sidecar key '{key}'")
+        if isinstance(meta[key], bool) or not isinstance(meta[key], (int, float)):
+            raise MapError(f"{meta_path}: sidecar {key} is not a number")
+    resolution, ox, oy = (float(meta[k]) for k in keys)
     if not resolution > 0:
         raise MapError(f"{meta_path}: nonpositive resolution {resolution}")
-    return OccupancyMap(pixels >= threshold, resolution, origin)
+    return OccupancyMap(pixels >= FREE_THRESHOLD, resolution, (ox, oy))
 
 
 def save_map(occ: OccupancyMap, pgm_path, meta_path=None) -> None:

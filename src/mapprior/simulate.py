@@ -134,14 +134,13 @@ class NoiseProfile:
 
 
 def diff_drive_step(x: float, y: float, theta: float, n_left: float,
-                    n_right: float, dtheta: float,
-                    wheel_radius: float = WHEEL_RADIUS):
+                    n_right: float, dtheta: float):
     """One differential-drive update from wheel revolution counts.
 
-    The arc length is pi * r * (n_left + n_right); the translation is applied
-    along theta + dtheta and the heading advances by dtheta.
+    The arc length is pi * WHEEL_RADIUS * (n_left + n_right); the translation
+    is applied along theta + dtheta and the heading advances by dtheta.
     """
-    ds = np.pi * wheel_radius * (n_left + n_right)
+    ds = np.pi * WHEEL_RADIUS * (n_left + n_right)
     head = theta + dtheta
     return (x + ds * np.cos(head), y + ds * np.sin(head),
             float(wrap_angle(theta + dtheta)))
@@ -261,9 +260,9 @@ def _planning_map(occ: OccupancyMap) -> OccupancyMap:
 
 
 def generate_trajectory(occ: OccupancyMap, seed: int, duration_s: float,
-                        profile: str = "pedestrian",
-                        rate_hz: float = 1.0) -> Trajectory:
-    """Deterministic feasible trajectory of the given duration on the map.
+                        profile: str = "pedestrian") -> Trajectory:
+    """Deterministic feasible trajectory of the given duration on the map,
+    sampled at 1 Hz.
 
     pedestrian: waypoint following at ~1.3 m/s with smoothed turns.
     wheeled: differential-drive integration along planned paths at ~0.2 m/s.
@@ -346,10 +345,8 @@ def generate_trajectory(occ: OccupancyMap, seed: int, duration_s: float,
         t += SIM_DT
         states.append((t, pos[0], pos[1], theta))
 
-    arr = np.asarray(states)
-    stride = max(1, int(round(1.0 / (rate_hz * SIM_DT))))
-    arr = arr[::stride]
-    t = np.arange(len(arr)) * (1.0 / rate_hz)  # exact nominal timestamps
+    arr = np.asarray(states)[:: int(round(1.0 / SIM_DT))]
+    t = np.arange(len(arr), dtype=np.float64)  # exact nominal timestamps
     return Trajectory(t=t, xy=arr[:, 1:3], theta=arr[:, 3])
 
 

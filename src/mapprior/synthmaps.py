@@ -17,15 +17,6 @@ def open_box(width_cells: int = 40, height_cells: int = 40,
     return OccupancyMap(free, resolution)
 
 
-def corridor(length_cells: int = 60, corridor_cells: int = 6,
-             resolution: float = DEFAULT_RESOLUTION) -> OccupancyMap:
-    """Single straight horizontal corridor."""
-    h = corridor_cells + 2
-    free = np.zeros((h, length_cells), dtype=bool)
-    free[1:-1, 1:-1] = True
-    return OccupancyMap(free, resolution)
-
-
 def corridor_rooms(width_cells: int = 48, height_cells: int = 48,
                    corridor_cells: int = 6, door_cells: int = 2,
                    n_rooms: int = 3,
@@ -104,136 +95,6 @@ def office_floor(width_cells: int = 96, height_cells: int = 96,
             cx = x0 + k * room_w + room_w // 2
             free[hall_wall, cx : cx + door_cells] = True
     return OccupancyMap(free, resolution)
-
-
-def warren(width_cells: int = 96, height_cells: int = 96,
-           corridor_cells: int = 7, room_cells: int = 12, wall_cells: int = 3,
-           door_cells: int = 3,
-           resolution: float = DEFAULT_RESOLUTION) -> OccupancyMap:
-    """Dense floor: a lattice of corridors between blocks of walled rooms.
-
-    Walls are thick (default 0.75 m) and corridors comparable to a short
-    trajectory window's lateral uncertainty, so feasibility carries real
-    localization information and does not bleed through walls.
-    """
-    free = np.zeros((height_cells, width_cells), dtype=bool)
-    pitch = room_cells + 2 * wall_cells + corridor_cells
-    block = room_cells + 2 * wall_cells
-    corr_x = [s + block for s in range(0, width_cells - block, pitch)]
-    corr_y = [s + block for s in range(0, height_cells - block, pitch)]
-    for s in corr_x:
-        free[1:-1, s : min(s + corridor_cells, width_cells - 1)] = True
-    for s in corr_y:
-        free[s : min(s + corridor_cells, height_cells - 1), 1:-1] = True
-    # Room interiors inside each walled block, door into the nearest corridor.
-    for by in range(0, height_cells - block, pitch):
-        for bx in range(0, width_cells - block, pitch):
-            x0, x1 = bx + wall_cells, bx + wall_cells + room_cells
-            y0, y1 = by + wall_cells, by + wall_cells + room_cells
-            free[y0:y1, x0:x1] = True
-            cy = (y0 + y1) // 2
-            if bx + block < width_cells - 1:  # door east
-                free[cy - door_cells // 2 : cy + (door_cells + 1) // 2,
-                     x1 : bx + block] = True
-            cx = (x0 + x1) // 2
-            if by + block < height_cells - 1:  # door south
-                free[y1 : by + block,
-                     cx - door_cells // 2 : cx + (door_cells + 1) // 2] = True
-    return OccupancyMap(free, resolution)
-
-
-def random_building(seed: int = 0, width_cells: int = 96,
-                    height_cells: int = 96,
-                    resolution: float = DEFAULT_RESOLUTION) -> OccupancyMap:
-    """Heterogeneous building floor: irregular corridors and rooms of varied
-    shapes, deterministic per seed.
-
-    Unlike a periodic lattice, no two neighborhoods look alike, so local
-    geometry identifies location; this mirrors real floor plans.
-    """
-    rng = np.random.default_rng(seed)
-    free = np.zeros((height_cells, width_cells), dtype=bool)
-
-    def carve(y0, y1, x0, x1):
-        free[max(1, y0) : min(height_cells - 1, y1),
-             max(1, x0) : min(width_cells - 1, x1)] = True
-
-    # Corridor skeleton: a few horizontal and vertical strips at random
-    # positions and widths.
-    n_h = 2 + int(rng.integers(0, 2))
-    n_v = 1 + int(rng.integers(0, 2))
-    ys = np.sort(rng.choice(np.arange(10, height_cells - 14, 4),
-                            size=n_h, replace=False))
-    xs = np.sort(rng.choice(np.arange(10, width_cells - 14, 4),
-                            size=n_v, replace=False))
-    for y in ys:
-        w = int(rng.integers(5, 8))
-        carve(y, y + w, 1, width_cells - 1)
-    for x in xs:
-        w = int(rng.integers(5, 8))
-        carve(1, height_cells - 1, x, x + w)
-
-    # Rooms: random rectangles with 2-cell wall margins, each connected by a
-    # short carved door toward the nearest existing free cell.
-    for _ in range(200):
-        rw = int(rng.integers(8, 22))
-        rh = int(rng.integers(8, 22))
-        x0 = int(rng.integers(2, width_cells - rw - 2))
-        y0 = int(rng.integers(2, height_cells - rh - 2))
-        if free[max(0, y0 - 2) : y0 + rh + 2, max(0, x0 - 2) : x0 + rw + 2].any():
-            continue
-        carve(y0, y0 + rh, x0, x0 + rw)
-        door_w = int(rng.integers(3, 5))
-        _punch_door(free, rng, y0, y0 + rh, x0, x0 + rw, door_w)
-
-    # Keep the dominant connected region; stray pockets become walls.
-    from scipy import ndimage
-    labels, n = ndimage.label(free, structure=np.ones((3, 3), dtype=int))
-    if n > 1:
-        counts = np.bincount(labels.ravel())
-        counts[0] = 0
-        free &= labels == counts.argmax()
-    return OccupancyMap(free, resolution)
-
-
-def _punch_door(free: np.ndarray, rng: np.random.Generator,
-                y0: int, y1: int, x0: int, x1: int, door_w: int) -> None:
-    """Carve the shortest straight opening from a room edge to nearby free
-    space (up to 6 cells of wall)."""
-    h, w = free.shape
-
-    def probe(side: int):
-        if side in (0, 1):
-            cy = int(rng.integers(y0 + 1, y1 - door_w))
-            for d in range(1, 7):
-                col = x1 + d if side == 0 else x0 - d
-                if not 0 < col < w - 1:
-                    return None
-                if free[cy : cy + door_w, col].all():
-                    cut = (slice(x1, x1 + d) if side == 0
-                           else slice(x0 - d + 1, x0))
-                    return d, (slice(cy, cy + door_w), cut)
-            return None
-        cx = int(rng.integers(x0 + 1, x1 - door_w))
-        for d in range(1, 7):
-            row = y1 + d if side == 2 else y0 - d
-            if not 0 < row < h - 1:
-                return None
-            if free[row, cx : cx + door_w].all():
-                cut = (slice(y1, y1 + d) if side == 2
-                       else slice(y0 - d + 1, y0))
-                return d, (cut, slice(cx, cx + door_w))
-        return None
-
-    best = None
-    for _ in range(40):
-        cand = probe(int(rng.integers(4)))
-        if cand is not None and (best is None or cand[0] < best[0]):
-            best = cand
-        if best is not None and best[0] == 1:
-            break
-    if best is not None:
-        free[best[1]] = True
 
 
 def hallway_with_rooms(length_cells: int = 64, hallway_cells: int = 4,

@@ -7,11 +7,10 @@ Gaussian peak around where the window truly ended, zero on occupied cells.
 normalized kernel, slid over the map to measure free-space overlap T_bar in
 [0, 1], and exponentially reweighted so fully feasible end locations dominate
 (TARGET_SCALE * exp(TARGET_GAIN * T_bar), the formula acceptance criterion 3
-pins).  Feasible connected regions receive inverse-area loss weights so small
-rooms are not drowned out by large ones.  It scores where a window *fits*,
-not where it *was*: on open floors a short window fits almost everywhere, so
-a model regressing it learns little about the agent's position.  The overlap
-itself is the heuristic prior of `baselines`.
+pins).  It scores where a window *fits*, not where it *was*: on open floors
+a short window fits almost everywhere, so a model regressing it learns
+little about the agent's position.  The overlap itself is the heuristic
+prior of `baselines`.
 """
 
 from __future__ import annotations
@@ -19,13 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .occupancy import OccupancyMap
 
 TARGET_SCALE = 1e-6
 TARGET_GAIN = 14.0
-FEASIBLE_EPS = 1e-6
 
 # location_target: peak width and the floor on free cells.  Neither comes
 # from the paper; both are design choices.  The width is the 1 m kernel of
@@ -34,8 +31,6 @@ FEASIBLE_EPS = 1e-6
 # between those variants.
 LOCATION_SIGMA_M = 1.0
 LOCATION_FLOOR = 0.1
-
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
 
 @dataclass(frozen=True)
@@ -52,11 +47,9 @@ class TrajectoryKernel:
 
 @dataclass(frozen=True)
 class TargetMap:
-    """Per-cell regression target with feasibility mask and loss weights."""
+    """Per-cell overlap target and the overlap it was computed from."""
 
     values: np.ndarray        # TARGET_SCALE * exp(GAIN * overlap)
-    feasible_mask: np.ndarray
-    loss_weights: np.ndarray  # mean 1 over the map
     overlap: np.ndarray       # raw T_bar in [0, 1]
 
 
@@ -82,13 +75,11 @@ def _bresenham(c0: tuple[int, int], c1: tuple[int, int]):
             y0 += sy
 
 
-def rasterize_kernel(window_xy: np.ndarray, resolution: float,
-                     dilate: int = 0) -> TrajectoryKernel:
+def rasterize_kernel(window_xy: np.ndarray, resolution: float) -> TrajectoryKernel:
     """Rasterize a relative trajectory window onto the cell grid.
 
     Consecutive positions are connected with Bresenham lines; visited cells get
-    uniform weight normalized to sum 1.  dilate > 0 thickens the path by that
-    many cells (8-connected).
+    uniform weight normalized to sum 1.
     """
     window_xy = np.asarray(window_xy, dtype=np.float64).reshape(-1, 2)
     if len(window_xy) == 0:
@@ -106,11 +97,6 @@ def rasterize_kernel(window_xy: np.ndarray, resolution: float,
     mask = np.zeros((int(ys.max()) - y_min + 1, int(xs.max()) - x_min + 1), dtype=bool)
     mask[ys - y_min, xs - x_min] = True
     anchor = (int(end[0]) - x_min, int(end[1]) - y_min)
-    if dilate > 0:
-        pad = dilate
-        mask = np.pad(mask, pad)
-        mask = ndimage.binary_dilation(mask, _EIGHT_CONNECTED, iterations=dilate)
-        anchor = (anchor[0] + pad, anchor[1] + pad)
     grid = mask.astype(np.float64)
     grid /= grid.sum()
     return TrajectoryKernel(grid=grid, anchor=anchor)
@@ -145,22 +131,11 @@ def cross_correlate(occ: OccupancyMap, kernel: TrajectoryKernel) -> np.ndarray:
     return out
 
 
-def make_target(occ: OccupancyMap, window_xy: np.ndarray,
-                dilate: int = 0) -> TargetMap:
-    """Full training target for a trajectory window on a map (or crop)."""
-    kernel = rasterize_kernel(window_xy, occ.resolution, dilate=dilate)
-    t_bar = cross_correlate(occ, kernel)
-    values = TARGET_SCALE * np.exp(TARGET_GAIN * t_bar)
-    feasible = t_bar >= 1.0 - FEASIBLE_EPS
-
-    weights = np.ones_like(t_bar)
-    labels, n_comp = ndimage.label(feasible, structure=_EIGHT_CONNECTED)
-    for comp in range(1, n_comp + 1):
-        region = labels == comp
-        weights[region] = 1.0 / region.sum()
-    weights /= weights.mean()
-    return TargetMap(values=values, feasible_mask=feasible,
-                     loss_weights=weights, overlap=t_bar)
+def make_target(occ: OccupancyMap, window_xy: np.ndarray) -> TargetMap:
+    """Overlap target for a trajectory window on a map (or crop)."""
+    t_bar = cross_correlate(occ, rasterize_kernel(window_xy, occ.resolution))
+    return TargetMap(values=TARGET_SCALE * np.exp(TARGET_GAIN * t_bar),
+                     overlap=t_bar)
 
 
 def location_target(occ: OccupancyMap, end_xy) -> np.ndarray:

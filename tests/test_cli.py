@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from mapprior import synthmaps
 from mapprior.cli import main
 from mapprior.nn import load_weights, save_weights
+from mapprior.nn.serialize import MAGIC
 from mapprior.occupancy import save_map
-from mapprior.simulate import (integrate_odometry, read_odometry_csv,
-                               read_trajectory_csv)
+from mapprior.simulate import (Trajectory, integrate_odometry,
+                               read_odometry_csv, read_trajectory_csv,
+                               write_trajectory_csv)
 
 
 @pytest.fixture(scope="module")
@@ -183,13 +186,19 @@ class TestLocalize:
         assert tuple(est.xy[0]) == (2.5, 3.5)
 
 
-def localize_error(tmp_path, map_path, odom_path, capsys, *extra) -> str:
-    """Run localize expecting a failure; returns its one stderr line."""
-    rc = main(["localize", "--map", str(map_path), "--odom", str(odom_path),
-               "--start", "1,1", "--out", str(tmp_path / "e.csv"), *extra])
+def cli_error(capsys, *argv) -> str:
+    """Run the CLI expecting a failure; returns its one stderr line."""
+    rc = main([str(a) for a in argv])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and err.count("\n") == 1
+    return err
+
+
+def localize_error(tmp_path, map_path, odom_path, capsys, *extra) -> str:
+    """Run localize expecting a failure; returns its one stderr line."""
+    err = cli_error(capsys, "localize", "--map", map_path, "--odom", odom_path,
+                    "--start", "1,1", "--out", tmp_path / "e.csv", *extra)
     assert not (tmp_path / "e.csv").exists()
     return err
 
@@ -237,6 +246,64 @@ class TestMalformedInputs:
                                  capsys, "--method", "ours",
                                  "--weights", str(tmp_path / name))
             assert name in err and detail in err
+
+    @pytest.mark.parametrize("header", [
+        [],
+        {"format_version": 1},
+        {"format_version": 1, "layers": [{"shape": [1]}], "meta": {}},
+        {"format_version": 1, "layers": [{"name": "b", "shape": [-1]}]},
+        {"format_version": 1, "layers": [], "meta": "model_config"},
+    ])
+    def test_malformed_weights_header_exits_2(self, tmp_path, map_path,
+                                              sim_dir, capsys, header):
+        raw = json.dumps(header).encode()
+        weights = tmp_path / "w.lmw"
+        weights.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw)
+        err = localize_error(tmp_path, map_path, sim_dir / "odom_000.csv",
+                             capsys, "--method", "ours", "--weights", weights)
+        assert "w.lmw: header" in err
+
+    @pytest.mark.parametrize("sidecar, message", [
+        ([], "sidecar is not a JSON object"),
+        ({"resolution_m_per_px": None, "origin_x_m": 0.0, "origin_y_m": 0.0},
+         "sidecar resolution_m_per_px is not a number"),
+    ])
+    def test_malformed_map_sidecar_exits_2(self, tmp_path, map_path, capsys,
+                                           sidecar, message):
+        meta = tmp_path / "meta.json"
+        meta.write_text(json.dumps(sidecar))
+        err = cli_error(capsys, "simulate", "--map", map_path, "--map-meta",
+                        meta, "--out", tmp_path / "sim")
+        assert f"meta.json: {message}" in err
+
+    @pytest.mark.parametrize("config, message", [
+        ([], "model config is not a JSON object"),
+        ({"crop_size": "32"}, "config crop_size must be int, not '32'"),
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, map_path, sim_dir,
+                                      capsys, config, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        err = cli_error(capsys, "train", "--map", map_path, "--traj-dir",
+                        sim_dir, "--config", cfg, "--out", tmp_path / "w.lmw")
+        assert message in err
+        assert not (tmp_path / "w.lmw").exists()
+
+    def test_training_walk_not_at_1_hz_exits_2(self, tmp_path, map_path,
+                                               sim_dir, capsys):
+        gt = read_trajectory_csv(sim_dir / "gt_000.csv")
+        walks = tmp_path / "walks"
+        walks.mkdir()
+        write_trajectory_csv(Trajectory(t=0.5 * gt.t, xy=gt.xy, theta=gt.theta),
+                             walks / "gt_000.csv")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"channels": 8, "unet_depth": 2,
+                                   "base_width": 4, "crop_size": 24,
+                                   "epochs": 1}))
+        err = cli_error(capsys, "train", "--map", map_path, "--traj-dir",
+                        walks, "--config", cfg, "--out", tmp_path / "w.lmw")
+        assert "must be sampled at 1 Hz" in err
+        assert not (tmp_path / "w.lmw").exists()
 
 
 class TestEval:

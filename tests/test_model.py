@@ -166,7 +166,8 @@ class TestTraining:
         bad = ModelConfig(**{**cfg.__dict__, "learning_rate": 1e6,
                              "epochs": 30, "max_grad_norm": 0.0,
                              "warmup_epochs": 0})
-        with pytest.raises((TrainingDiverged, FloatingPointError)):
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises((TrainingDiverged, FloatingPointError)):
             train(ds, bad, seed=0)
 
     def test_history_has_epoch_zero_baseline(self, toy_setup):

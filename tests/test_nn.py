@@ -8,13 +8,13 @@ from mapprior.nn import (AdamState, adam_step, backward, constant,
 from mapprior.nn.serialize import MAGIC, WeightsFormatError
 
 
-def conv2d_oracle(x, w, b, stride=1, ph=1, pw=1):
+def conv2d_oracle(x, w, b, ph=1, pw=1):
     """Direct nested-loop cross-correlation."""
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    oh = (h + 2 * ph - kh) // stride + 1
-    ow = (wd + 2 * pw - kw) // stride + 1
+    oh = h + 2 * ph - kh + 1
+    ow = wd + 2 * pw - kw + 1
     out = np.zeros((n, f, oh, ow), dtype=np.float64)
     for ni in range(n):
         for fi in range(f):
@@ -25,8 +25,7 @@ def conv2d_oracle(x, w, b, stride=1, ph=1, pw=1):
                         for ky in range(kh):
                             for kx in range(kw):
                                 acc += (w[fi, ci, ky, kx]
-                                        * xp[ni, ci, oy * stride + ky,
-                                             ox * stride + kx])
+                                        * xp[ni, ci, oy + ky, ox + kx])
                     out[ni, fi, oy, ox] = acc + b[fi]
     return out
 
@@ -56,20 +55,24 @@ class TestConv2d:
             h = int(rng.integers(3, 9))
             wd = int(rng.integers(3, 9))
             k = int(rng.choice([1, 3]))
-            stride = int(rng.choice([1, 2]))
             pad = (k - 1) // 2
             x = rng.normal(size=(n, c, h, wd))
             w = rng.normal(size=(f, c, k, k))
             b = rng.normal(size=(f,))
-            got = nn.conv2d(constant(x), constant(w), constant(b),
-                            stride=stride, padding=pad).data
-            want = conv2d_oracle(x, w, b, stride=stride, ph=pad, pw=pad)
+            got = nn.conv2d(constant(x), constant(w), constant(b)).data
+            want = conv2d_oracle(x, w, b, ph=pad, pw=pad)
             assert np.max(np.abs(got - want)) < 1e-6, f"trial {trial}"
 
     def test_channel_mismatch_raises(self):
         x = constant(np.zeros((1, 2, 4, 4), dtype=np.float32))
         w = constant(np.zeros((3, 5, 3, 3), dtype=np.float32))
         with pytest.raises(ValueError, match="channels"):
+            nn.conv2d(x, w, constant(np.zeros(3, dtype=np.float32)))
+
+    def test_even_kernel_raises(self):
+        x = constant(np.zeros((1, 2, 4, 4), dtype=np.float32))
+        w = constant(np.zeros((3, 2, 2, 3), dtype=np.float32))
+        with pytest.raises(ValueError, match="odd kernel"):
             nn.conv2d(x, w, constant(np.zeros(3, dtype=np.float32)))
 
     def test_gradcheck(self):

@@ -13,7 +13,7 @@ from mapprior.simulate import (NoiseProfile, Odometry, Trajectory,
 class TestDiffDrive:
     def test_one_rev_each_wheel_straight(self):
         # One revolution per wheel, no turn: arc length pi*r*(nL+nR).
-        x, y, th = diff_drive_step(0.0, 0.0, 0.0, 1.0, 1.0, 0.0, wheel_radius=0.033)
+        x, y, th = diff_drive_step(0.0, 0.0, 0.0, 1.0, 1.0, 0.0)
         assert x == pytest.approx(np.pi * 0.033 * 2.0, rel=1e-12)
         assert y == pytest.approx(0.0, abs=1e-12)
         assert th == 0.0

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from mapprior.occupancy import OccupancyMap
-from mapprior.targets import (FEASIBLE_EPS, TARGET_GAIN, TARGET_SCALE,
-                              TrajectoryKernel, cross_correlate, make_target,
-                              rasterize_kernel)
+from mapprior.targets import (TARGET_GAIN, TARGET_SCALE, TrajectoryKernel,
+                              cross_correlate, make_target, rasterize_kernel)
 
 from conftest import random_map
 
@@ -74,13 +73,6 @@ class TestRasterizeKernel:
         visited = int(round(1.0 / k.grid[k.grid > 0].min()))
         assert visited == np.count_nonzero(k.grid)
 
-    def test_dilation_thickens(self):
-        win = np.array([[0.0, 0.0], [1.0, 0.0]])
-        thin = rasterize_kernel(win, 0.25)
-        thick = rasterize_kernel(win, 0.25, dilate=1)
-        assert np.count_nonzero(thick.grid) > np.count_nonzero(thin.grid)
-        assert thick.grid.sum() == pytest.approx(1.0, abs=1e-12)
-
 
 class TestCrossCorrelate:
     def test_all_free_interior_is_one(self):
@@ -142,22 +134,6 @@ class TestMakeTarget:
         tm0 = make_target(blocked, np.zeros((3, 2)))
         assert np.allclose(tm0.values, TARGET_SCALE, rtol=1e-12)
 
-    def test_inverse_area_weights(self):
-        # Two free rectangles split by a wall: areas 10 and 40.
-        free = np.zeros((11, 5), dtype=bool)
-        free[0:2, 0:5] = True    # 10 cells
-        free[3:11, 0:5] = True   # 40 cells
-        occ = OccupancyMap(free, 1.0)
-        tm = make_target(occ, np.zeros((2, 2)))  # 1x1 kernel: feasible == free
-        assert np.array_equal(tm.feasible_mask, free)
-        w_small = tm.loss_weights[0, 0]
-        w_big = tm.loss_weights[5, 0]
-        w_bg = tm.loss_weights[2, 0]
-        assert w_small / w_bg == pytest.approx(0.1, rel=1e-12)
-        assert w_big / w_bg == pytest.approx(0.025, rel=1e-12)
-        assert np.unique(tm.loss_weights[free][:10]).size == 1
-        assert tm.loss_weights.mean() == pytest.approx(1.0, rel=1e-12)
-
     def test_monotone_in_overlap(self):
         rng = np.random.default_rng(5)
         occ = random_map(rng, 12, 12)
@@ -188,11 +164,3 @@ class TestMakeTarget:
         tb = make_target(OccupancyMap(pad_b, 1.0), win)
         # Away from the border the shifted targets agree on the shifted block.
         assert np.allclose(ta.values[3:7, 3:7], tb.values[6:10, 7:11])
-
-    def test_feasible_mask_threshold(self):
-        free = np.ones((6, 6), dtype=bool)
-        free[0, 0] = False
-        occ = OccupancyMap(free, 1.0)
-        tm = make_target(occ, np.array([[0.0, 0.0], [1.0, 0.0]]))
-        assert np.array_equal(tm.feasible_mask, tm.overlap >= 1.0 - FEASIBLE_EPS)
-        assert tm.feasible_mask.any() and not tm.feasible_mask.all()
