@@ -258,8 +258,12 @@ def cmd_eval(args) -> int:
         method, seed = None, None
         if manifest_path.exists():
             m = json.loads(manifest_path.read_text())
-            method = m.get("args", {}).get("method")
-            seed = m.get("args", {}).get("seed")
+            if not isinstance(m, dict):
+                raise CliError(f"{manifest_path}: manifest is not a JSON object")
+            run_args = m.get("args", {})
+            if not isinstance(run_args, dict):
+                raise CliError(f"{manifest_path}: manifest args is not a JSON object")
+            method, seed = run_args.get("method"), run_args.get("seed")
         per_traj.append({
             "method": method, "map": str(args.map) if args.map else None,
             "seed": seed, "ate_m": err.ate, "ee_m": err.ee,

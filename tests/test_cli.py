@@ -289,6 +289,21 @@ class TestMalformedInputs:
         assert message in err
         assert not (tmp_path / "w.lmw").exists()
 
+    @pytest.mark.parametrize("manifest, message", [
+        ([], "manifest is not a JSON object"),
+        ({"args": []}, "manifest args is not a JSON object"),
+    ])
+    def test_malformed_estimate_manifest_exits_2(self, tmp_path, sim_dir,
+                                                 capsys, manifest, message):
+        est = tmp_path / "est"
+        est.mkdir()
+        (est / "est_000.csv").write_bytes((sim_dir / "gt_000.csv").read_bytes())
+        (est / "est_000.csv.manifest.json").write_text(json.dumps(manifest))
+        err = cli_error(capsys, "eval", "--est-dir", est, "--gt-dir", sim_dir,
+                        "--out", tmp_path / "ev")
+        assert f"est_000.csv.manifest.json: {message}" in err
+        assert not (tmp_path / "ev" / "metrics.json").exists()
+
     def test_training_walk_not_at_1_hz_exits_2(self, tmp_path, map_path,
                                                sim_dir, capsys):
         gt = read_trajectory_csv(sim_dir / "gt_000.csv")

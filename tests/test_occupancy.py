@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from mapprior import synthmaps
 from mapprior.occupancy import (MapError, OccupancyMap, crop, load_map,
                                 save_map, segment_hits_obstacle,
-                                traverse_cells)
+                                segments_hit_obstacles)
 
 
 def write_pgm(path, width, height, pixels, maxval=255, meta=None):
@@ -23,6 +24,21 @@ class TestLoadMap:
         assert occ.free.sum() == 3
         assert not occ.free[1, 0]
         assert occ.resolution == 0.25
+
+    def test_threshold_is_half_of_maxval(self, tmp_path):
+        p = tmp_path / "m.pgm"
+        write_pgm(p, 2, 2, [1, 1, 0, 1], maxval=1)
+        assert load_map(p).free.tolist() == [[True, True], [False, True]]
+        write_pgm(p, 4, 1, [127, 128, 0, 255])
+        assert load_map(p).free.tolist() == [[False, True, False, True]]
+        write_pgm(p, 3, 1, [50, 51, 100], maxval=100)
+        assert load_map(p).free.tolist() == [[False, True, True]]
+
+    def test_pixel_above_maxval_rejected(self, tmp_path):
+        p = tmp_path / "m.pgm"
+        write_pgm(p, 2, 1, [100, 200], maxval=100)
+        with pytest.raises(MapError, match="pixel value 200 exceeds maxval 100"):
+            load_map(p)
 
     def test_all_white_is_all_free(self, tmp_path):
         p = tmp_path / "m.pgm"
@@ -147,6 +163,76 @@ class TestCrop:
         assert c.map.is_free(point) == rooms_map.is_free(point)
 
 
+def traverse_cells(occ: OccupancyMap, p0, p1):
+    """Grid cells crossed by the segment p0 -> p1 (world coords), in order.
+
+    The cell-list form of the Amanatides-Woo walk, kept as the oracle for
+    both traversals in `mapprior.occupancy`.  Includes the cells containing
+    both endpoints; cells outside the grid are reported as (ix, iy) anyway.
+    """
+    x0 = (float(p0[0]) - occ.origin[0]) / occ.resolution
+    y0 = (float(p0[1]) - occ.origin[1]) / occ.resolution
+    x1 = (float(p1[0]) - occ.origin[0]) / occ.resolution
+    y1 = (float(p1[1]) - occ.origin[1]) / occ.resolution
+    ix, iy = int(np.floor(x0)), int(np.floor(y0))
+    ix1, iy1 = int(np.floor(x1)), int(np.floor(y1))
+    cells = [(ix, iy)]
+    dx, dy = x1 - x0, y1 - y0
+    step_x = 1 if dx > 0 else -1
+    step_y = 1 if dy > 0 else -1
+    t_max_x = ((ix + (step_x > 0)) - x0) / dx if dx != 0 else np.inf
+    t_max_y = ((iy + (step_y > 0)) - y0) / dy if dy != 0 else np.inf
+    t_delta_x = abs(1.0 / dx) if dx != 0 else np.inf
+    t_delta_y = abs(1.0 / dy) if dy != 0 else np.inf
+    for _ in range(abs(ix1 - ix) + abs(iy1 - iy)):
+        if abs(t_max_x - t_max_y) < 1e-12:
+            cells.append((ix + step_x, iy))
+            cells.append((ix, iy + step_y))
+            ix += step_x
+            iy += step_y
+            t_max_x += t_delta_x
+            t_max_y += t_delta_y
+        elif t_max_x < t_max_y:
+            ix += step_x
+            t_max_x += t_delta_x
+        else:
+            iy += step_y
+            t_max_y += t_delta_y
+        cells.append((ix, iy))
+        if ix == ix1 and iy == iy1:
+            break
+    return cells
+
+
+def oracle_hits(occ: OccupancyMap, p0, p1) -> np.ndarray:
+    return np.array([any(not occ.is_free_cell(ix, iy)
+                         for ix, iy in traverse_cells(occ, a, b))
+                     for a, b in zip(p0, p1)], dtype=bool)
+
+
+def random_segments(occ: OccupancyMap, rng, n: int):
+    """n segments over and around the map, a sixth of each kind: free,
+    grid-aligned endpoints (exact corners), zero-length, horizontal,
+    vertical and exactly diagonal through cell corners."""
+    res = occ.resolution
+    origin = np.asarray(occ.origin)
+    size = np.array([occ.width, occ.height]) * res
+    kind = np.arange(n) % 6
+    p0 = origin + rng.uniform(-0.05, 1.05, (n, 2)) * size
+    p1 = p0 + rng.normal(0.0, 6 * res, (n, 2))
+    grid = origin + res * rng.integers(-3, max(occ.width, occ.height) + 3, (n, 2))
+    m = kind == 1
+    p0[m] = grid[m]
+    p1[m] = grid[m] + res * rng.integers(-6, 7, (m.sum(), 2))
+    p1[kind == 2] = p0[kind == 2]
+    p1[kind == 3, 1] = p0[kind == 3, 1]
+    p1[kind == 4, 0] = p0[kind == 4, 0]
+    m = kind == 5
+    p0[m] = grid[m] + res * rng.choice([0.0, 0.5], (m.sum(), 1))
+    p1[m] = p0[m] + res * rng.integers(-6, 7, (m.sum(), 1)) * rng.choice([-1, 1], (m.sum(), 2))
+    return p0, p1
+
+
 class TestTraversal:
     def test_straight_segment_cells(self, small_map):
         cells = traverse_cells(small_map, (0.5, 0.5), (3.5, 0.5))
@@ -163,6 +249,58 @@ class TestTraversal:
 
     def test_leaving_map_counts_as_hit(self, small_map):
         assert segment_hits_obstacle(small_map, (1.5, 1.5), (-2.0, 1.5))
+
+    def test_exact_corner_checks_both_side_cells(self):
+        # Free diagonal, occupied off-diagonal: the diagonal crosses the
+        # shared corner exactly and counts as a hit in either direction.
+        occ = OccupancyMap(np.eye(2, dtype=bool), resolution=1.0)
+        for p0, p1 in (((0.5, 0.5), (1.5, 1.5)), ((1.5, 1.5), (0.5, 0.5))):
+            assert segment_hits_obstacle(occ, p0, p1)
+            assert segments_hit_obstacles(occ, [p0], [p1]).tolist() == [True]
+        assert not segment_hits_obstacle(OccupancyMap(np.ones((2, 2), bool), 1.0),
+                                         (0.5, 0.5), (1.5, 1.5))
+
+
+ORACLE_MAPS = {
+    "office_floor": synthmaps.office_floor(),
+    "offset": OccupancyMap(np.random.default_rng(7).random((13, 17)) < 0.92,
+                           resolution=0.3, origin=(-1.1, 2.7)),
+}
+
+
+class TestTraversalOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_MAPS))
+    def test_batched_and_scalar_match_cell_list(self, name):
+        occ = ORACLE_MAPS[name]
+        p0, p1 = random_segments(occ, np.random.default_rng(11), 60_000)
+        want = oracle_hits(occ, p0, p1)
+        assert np.array_equal(segments_hit_obstacles(occ, p0, p1), want)
+        scalar = np.array([segment_hits_obstacle(occ, a, b) for a, b in zip(p0, p1)])
+        assert np.array_equal(scalar, want)
+        assert 0.2 < want.mean() < 0.9
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MAPS))
+    def test_random_segments_cross_exact_corners(self, name):
+        # A corner step lists two diagonal neighbours one after the other.
+        occ = ORACLE_MAPS[name]
+        p0, p1 = random_segments(occ, np.random.default_rng(11), 600)
+        corners = [any(abs(a[0] - b[0]) + abs(a[1] - b[1]) == 2
+                       for a, b in zip(cells, cells[1:]))
+                   for cells in (traverse_cells(occ, a, b) for a, b in zip(p0, p1))]
+        assert sum(corners) > 50
+
+    @pytest.mark.parametrize("p0, p1", [
+        (np.zeros((3, 2)), np.zeros((2, 2))),
+        (np.zeros((3, 2)), np.zeros((3, 3))),
+        (np.zeros(2), np.zeros(2)),
+    ])
+    def test_mismatched_shapes_raise(self, small_map, p0, p1):
+        with pytest.raises(ValueError, match="must both be"):
+            segments_hit_obstacles(small_map, p0, p1)
+
+    def test_non_finite_endpoint_raises(self, small_map):
+        with pytest.raises(ValueError, match="finite"):
+            segments_hit_obstacles(small_map, [[0.5, 0.5]], [[np.nan, 0.5]])
 
 
 class TestInvariants:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mapprior import particle_filter, synthmaps
-from mapprior.occupancy import OccupancyMap
+from mapprior.occupancy import OccupancyMap, segment_hits_obstacle
 from mapprior.particle_filter import (FilterConfig, ParticleSet, estimate,
                                       init_particles, maybe_reinit, propagate,
                                       resample_low_variance, reweight,
@@ -83,6 +83,23 @@ class TestPropagate:
         out = propagate(ps, (0.0, 0.0), 0.25, cfg, open_map,
                         np.random.default_rng(4))
         assert out.theta[0] == pytest.approx(0.35, rel=1e-12)
+
+
+class TestPropagateOracle:
+    @pytest.mark.parametrize("mode", ["pedestrian", "wheeled"])
+    def test_hit_flags_match_per_particle_scalar_loop(self, mode):
+        occ = synthmaps.office_floor()
+        rng = np.random.default_rng(5)
+        cells = occ.free_cells()
+        cells = cells[rng.integers(len(cells), size=2000)]
+        xy = np.stack(occ.cell_center(cells[:, 0], cells[:, 1]), axis=1)
+        ps = make_set(xy, theta=rng.uniform(-np.pi, np.pi, len(xy)))
+        cfg = getattr(FilterConfig, mode)(particle_count=len(xy),
+                                          motion_sigma_xy=0.3)
+        out = propagate(ps, (1.5, -0.7), 0.2, cfg, occ, rng)
+        want = [segment_hits_obstacle(occ, a, b) for a, b in zip(ps.xy, out.xy)]
+        assert out.hit_obstacle.tolist() == want
+        assert 0.1 < out.hit_obstacle.mean() < 0.9
 
 
 class TestReweight:
