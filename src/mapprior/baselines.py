@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import ate
 from .occupancy import OccupancyMap, segment_hits_obstacle
 from .simulate import Odometry, Trajectory, integrate_odometry, wrap_angle
 from .targets import cross_correlate, rasterize_kernel
@@ -193,8 +194,6 @@ def crf_grid_search(occ: OccupancyMap, odom: Odometry, gt: Trajectory,
                     pairwise_grid=(0.1, 1.0, 10.0),
                     edge_grid=(0.5, 1.0, 2.0)) -> CrfParams:
     """Pick CRF weights and node spacing minimizing ATE on one validation run."""
-    from .metrics import ate
-
     best = None
     best_err = np.inf
     for edge in edge_grid:

@@ -66,9 +66,20 @@ def _load_map(args) -> OccupancyMap:
     return load_map(args.map, getattr(args, "map_meta", None))
 
 
+def _read_json_object(path: Path, what: str) -> dict:
+    try:
+        obj = json.loads(path.read_text())
+    except ValueError as exc:
+        raise CliError(f"{path}: {what} is not valid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise CliError(f"{path}: {what} is not a JSON object")
+    return obj
+
+
 def _model_config(args) -> ModelConfig:
     if getattr(args, "config", None):
-        return ModelConfig.from_dict(json.loads(Path(args.config).read_text()))
+        return ModelConfig.from_dict(
+            _read_json_object(Path(args.config), "model config"))
     return ModelConfig()
 
 
@@ -257,9 +268,7 @@ def cmd_eval(args) -> int:
         manifest_path = est_path.parent / (est_path.name + ".manifest.json")
         method, seed = None, None
         if manifest_path.exists():
-            m = json.loads(manifest_path.read_text())
-            if not isinstance(m, dict):
-                raise CliError(f"{manifest_path}: manifest is not a JSON object")
+            m = _read_json_object(manifest_path, "manifest")
             run_args = m.get("args", {})
             if not isinstance(run_args, dict):
                 raise CliError(f"{manifest_path}: manifest args is not a JSON object")

@@ -300,19 +300,14 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
 def _eval_loss(params: dict[str, Tensor], config: ModelConfig, data,
                batch_size: int) -> float:
     crops, wins, targets, weights = data
-    saved = [(p, p.requires_grad) for p in params.values()]
-    for p, _ in saved:
-        p.requires_grad = False
-    try:
-        total = 0.0
-        for i in range(0, len(crops), batch_size):
-            sl = slice(i, i + batch_size)
-            loss = _batch_loss(params, config, crops[sl], wins[sl],
-                               targets[sl], weights[sl])
-            total += loss.item() * (len(crops[sl]) / len(crops))
-    finally:
-        for p, flag in saved:
-            p.requires_grad = flag
+    # Constants over the same arrays: no graph is built, nothing is copied.
+    frozen = as_tensors({k: p.data for k, p in params.items()})
+    total = 0.0
+    for i in range(0, len(crops), batch_size):
+        sl = slice(i, i + batch_size)
+        loss = _batch_loss(frozen, config, crops[sl], wins[sl],
+                           targets[sl], weights[sl])
+        total += loss.item() * (len(crops[sl]) / len(crops))
     return total
 
 

@@ -176,7 +176,10 @@ def load_map(pgm_path, meta_path=None) -> OccupancyMap:
     if pixels.max() > maxval:
         raise MapError(f"{pgm_path}: pixel value {pixels.max()} exceeds maxval {maxval}")
 
-    meta = json.loads(Path(meta_path).read_text())
+    try:
+        meta = json.loads(Path(meta_path).read_text())
+    except ValueError as exc:
+        raise MapError(f"{meta_path}: sidecar is not valid JSON ({exc})") from None
     if not isinstance(meta, dict):
         raise MapError(f"{meta_path}: sidecar is not a JSON object")
     keys = ("resolution_m_per_px", "origin_x_m", "origin_y_m")

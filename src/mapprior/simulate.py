@@ -249,11 +249,12 @@ def _sample_free_cell(occ: OccupancyMap, rng: np.random.Generator):
 def _planning_map(occ: OccupancyMap) -> OccupancyMap:
     """Copy of the map with free space eroded one cell, so planned paths keep
     clearance from walls; falls back to the raw map when erosion leaves
-    nothing."""
-    from scipy import ndimage
-
-    eroded = ndimage.binary_erosion(occ.free, structure=np.ones((3, 3)),
-                                    border_value=0)
+    nothing.  Erosion by a 3x3 square is the AND of the nine shifted copies
+    of the map, padded with occupied cells."""
+    h, w = occ.free.shape
+    padded = np.pad(occ.free, 1)
+    eroded = np.logical_and.reduce([padded[dy:dy + h, dx:dx + w]
+                                    for dy in range(3) for dx in range(3)])
     if not eroded.any():
         return occ
     return OccupancyMap(eroded, occ.resolution, occ.origin)

@@ -195,6 +195,11 @@ def cli_error(capsys, *argv) -> str:
     return err
 
 
+def as_json(value) -> str:
+    """A string is written as it is, so a case can give text that is not JSON."""
+    return value if isinstance(value, str) else json.dumps(value)
+
+
 def localize_error(tmp_path, map_path, odom_path, capsys, *extra) -> str:
     """Run localize expecting a failure; returns its one stderr line."""
     err = cli_error(capsys, "localize", "--map", map_path, "--odom", odom_path,
@@ -267,11 +272,12 @@ class TestMalformedInputs:
         ([], "sidecar is not a JSON object"),
         ({"resolution_m_per_px": None, "origin_x_m": 0.0, "origin_y_m": 0.0},
          "sidecar resolution_m_per_px is not a number"),
+        ("{oops", "sidecar is not valid JSON"),
     ])
     def test_malformed_map_sidecar_exits_2(self, tmp_path, map_path, capsys,
                                            sidecar, message):
         meta = tmp_path / "meta.json"
-        meta.write_text(json.dumps(sidecar))
+        meta.write_text(as_json(sidecar))
         err = cli_error(capsys, "simulate", "--map", map_path, "--map-meta",
                         meta, "--out", tmp_path / "sim")
         assert f"meta.json: {message}" in err
@@ -279,11 +285,12 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("config, message", [
         ([], "model config is not a JSON object"),
         ({"crop_size": "32"}, "config crop_size must be int, not '32'"),
+        ("{oops", "config.json: model config is not valid JSON"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, map_path, sim_dir,
                                       capsys, config, message):
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_text(as_json(config))
         err = cli_error(capsys, "train", "--map", map_path, "--traj-dir",
                         sim_dir, "--config", cfg, "--out", tmp_path / "w.lmw")
         assert message in err
@@ -292,13 +299,14 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("manifest, message", [
         ([], "manifest is not a JSON object"),
         ({"args": []}, "manifest args is not a JSON object"),
+        ("{oops", "manifest is not valid JSON"),
     ])
     def test_malformed_estimate_manifest_exits_2(self, tmp_path, sim_dir,
                                                  capsys, manifest, message):
         est = tmp_path / "est"
         est.mkdir()
         (est / "est_000.csv").write_bytes((sim_dir / "gt_000.csv").read_bytes())
-        (est / "est_000.csv.manifest.json").write_text(json.dumps(manifest))
+        (est / "est_000.csv.manifest.json").write_text(as_json(manifest))
         err = cli_error(capsys, "eval", "--est-dir", est, "--gt-dir", sim_dir,
                         "--out", tmp_path / "ev")
         assert f"est_000.csv.manifest.json: {message}" in err

@@ -1,13 +1,22 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from mapprior import synthmaps
+from mapprior.occupancy import OccupancyMap
 from mapprior.simulate import (NoiseProfile, Odometry, Trajectory,
-                               corrupt_to_odometry, dead_reckoning,
-                               diff_drive_step, generate_trajectory,
-                               integrate_odometry, read_odometry_csv,
-                               read_trajectory_csv, window, wrap_angle,
-                               write_odometry_csv, write_trajectory_csv)
+                               _planning_map, corrupt_to_odometry,
+                               dead_reckoning, diff_drive_step,
+                               generate_trajectory, integrate_odometry,
+                               read_odometry_csv, read_trajectory_csv, window,
+                               wrap_angle, write_odometry_csv,
+                               write_trajectory_csv)
 
 
 class TestDiffDrive:
@@ -60,6 +69,74 @@ class TestGenerateTrajectory:
         traj = generate_trajectory(rooms_map, seed=2, duration_s=30.0)
         assert np.all(traj.theta > -np.pi) and np.all(traj.theta <= np.pi)
         assert np.allclose(np.diff(traj.t), 1.0)
+
+
+def scipy_erosion(free: np.ndarray) -> np.ndarray:
+    return ndimage.binary_erosion(free, structure=np.ones((3, 3)),
+                                  border_value=0)
+
+
+class TestPlanningMap:
+    def test_matches_scipy_on_layouts(self):
+        for occ in (synthmaps.open_box(), synthmaps.corridor_rooms(),
+                    synthmaps.office_floor(), synthmaps.hallway_with_rooms()):
+            got = _planning_map(occ)
+            want = scipy_erosion(occ.free)
+            assert got.free.dtype == want.dtype
+            assert np.array_equal(got.free, want)
+            assert got.resolution == occ.resolution and got.origin == occ.origin
+
+    def test_matches_scipy_on_random_maps(self):
+        rng = np.random.default_rng(0)
+        shapes = [(1, n) for n in range(1, 41)] + [(n, 1) for n in range(1, 41)]
+        shapes += [tuple(rng.integers(1, 41, size=2)) for _ in range(1000)]
+        for k, shape in enumerate(shapes):
+            free = rng.random(shape) < rng.uniform(0.5, 1.0)
+            if k % 10 == 0:
+                free[:] = True
+            want = scipy_erosion(free)
+            got = _planning_map(OccupancyMap(free, 0.25)).free
+            # An empty erosion falls back to the raw map.
+            assert np.array_equal(got, want if want.any() else free), shape
+
+    def test_empty_erosion_returns_raw_map(self):
+        free = np.zeros((6, 6), dtype=bool)
+        free[2:4, 1:5] = True  # two cells thick: erodes to nothing
+        occ = OccupancyMap(free, 0.25)
+        assert not scipy_erosion(free).any()
+        assert _planning_map(occ) is occ
+
+
+def test_pipeline_loads_no_scipy():
+    """Simulate, build a training set and run both priors without scipy.
+
+    A subprocess, because other test modules import scipy in this one."""
+    script = textwrap.dedent("""
+        import sys
+        from mapprior import synthmaps
+        from mapprior.model import ModelConfig, build_training_set, init_weights
+        from mapprior.particle_filter import FilterConfig, run_filter
+        from mapprior.simulate import (NoiseProfile, corrupt_to_odometry,
+                                       generate_trajectory)
+        occ = synthmaps.corridor_rooms()
+        gt = generate_trajectory(occ, seed=0, duration_s=20.0)
+        config = ModelConfig(channels=4, unet_depth=2, base_width=2,
+                             window_len=3, crop_size=8, epochs=1)
+        build_training_set(occ, [gt], config, NoiseProfile.pedestrian(), seed=0)
+        odom = corrupt_to_odometry(gt, NoiseProfile.pedestrian(), seed=1,
+                                   resolution=occ.resolution)
+        fc = FilterConfig(particle_count=20, window_len=3)
+        run_filter(odom, occ, "heuristic", fc, seed=0, start=gt.pose(0))
+        run_filter(odom, occ, "learned", fc, seed=0, start=gt.pose(0),
+                   weights=init_weights(config, 0), model_config=config)
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
 
 
 class TestCorruptToOdometry:
