@@ -76,10 +76,17 @@ def _read_json_object(path: Path, what: str) -> dict:
     return obj
 
 
+def _config_from_dict(d, path) -> ModelConfig:
+    try:
+        return ModelConfig.from_dict(d)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
+
+
 def _model_config(args) -> ModelConfig:
     if getattr(args, "config", None):
-        return ModelConfig.from_dict(
-            _read_json_object(Path(args.config), "model config"))
+        path = Path(args.config)
+        return _config_from_dict(_read_json_object(path, "model config"), path)
     return ModelConfig()
 
 
@@ -103,7 +110,7 @@ def _load_model(path) -> tuple[dict, ModelConfig]:
     weights, meta = load_weights(path)
     if "model_config" not in meta:
         raise CliError(f"{path}: no model_config in the weights metadata")
-    config = ModelConfig.from_dict(meta["model_config"])
+    config = _config_from_dict(meta["model_config"], path)
     want = {k: v.data.shape for k, v in init_weights(config, 0).items()}
     have = {k: v.shape for k, v in weights.items()}
     if have != want:
@@ -157,7 +164,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     meta = {
         "model_config": asdict(config),
-        "map": str(args.map),
+        "map": Path(args.map).name,
         "seed": args.seed,
     }
     _atomic_file(out, lambda p: save_weights(p, weights, meta))

@@ -133,7 +133,7 @@ def as_tensors(weights: dict) -> dict[str, Tensor]:
 
 def unet_forward(x: Tensor, params: dict[str, Tensor],
                  config: ModelConfig) -> Tensor:
-    """Map branch on x (N, 1, H, W); H and W must divide 2^(depth-1)."""
+    """Map branch on x (N, 1, H, W); H and W must be multiples of 2^(depth-1)."""
     skips = []
     h = x
     for i in range(config.unet_depth):

@@ -131,24 +131,26 @@ def sum_all(x: Tensor) -> Tensor:
     return make_node(out, (x,), back)
 
 
-def _tap(xp: np.ndarray, i: int, j: int, oh: int, ow: int) -> np.ndarray:
-    """Contiguous (N, C, OH*OW) view of the inputs under kernel tap (i, j)."""
-    n, c = xp.shape[:2]
-    xs = xp[:, :, i : i + oh, j : j + ow]
-    return np.ascontiguousarray(xs).reshape(n, c, oh * ow)
+def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """'Same'-padded cross-correlation of x (N,C,H,W) with w (F,C,kh,kw).
 
-
-def _correlate(x: np.ndarray, w: np.ndarray, ph: int, pw: int):
-    """Cross-correlation as one GEMM per kernel tap; returns (out, padded x)."""
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
-    n, _, hp, wp = xp.shape
+    Each kernel tap (i, j) is one GEMM on the contiguous slice of the
+    flattened padded input that starts at i*Wp + j: output row y then spans
+    padded-width columns, and the kw-1 columns past W are dropped at the end.
+    One spare bottom row keeps the last tap's slice in bounds."""
+    n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
-    oh, ow = hp - kh + 1, wp - kw + 1
-    out = np.zeros((n, f, oh * ow), dtype=x.dtype)
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    wp = wd + 2 * pw
+    xf = np.pad(x, ((0, 0), (0, 0), (ph, ph + 1), (pw, pw))).reshape(n, c, -1)
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+    out = np.zeros((n, f, h * wp), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            out += np.ascontiguousarray(w[:, :, i, j]) @ _tap(xp, i, j, oh, ow)
-    return out.reshape(n, f, oh, ow), xp
+            xs = xf[:, :, i * wp + j : i * wp + j + h * wp]
+            # With one input channel the GEMM is one product per element.
+            out += taps[i, j] * xs if c == 1 else taps[i, j] @ xs
+    return out.reshape(n, f, h, wp)[..., :wd]
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -160,28 +162,26 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"input has {c} channels, kernel expects {cw}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("'same' padding requires odd kernel dims")
-    ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    out, xp = _correlate(x.data, w.data, ph, pw)
-    out += b.data[:, None, None]
+    out = _correlate(x.data, w.data) + b.data[:, None, None]
 
     def back(g):
         if b.requires_grad:
             b.accumulate(g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
+            ph, pw = (kh - 1) // 2, (kw - 1) // 2
+            xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
             g3 = np.ascontiguousarray(g).reshape(n, f, h * wd)
             dw = np.empty_like(w.data)
             for i in range(kh):
                 for j in range(kw):
-                    xs = _tap(xp, i, j, h, wd)
-                    dw[:, :, i, j] = (g3 @ xs.transpose(0, 2, 1)).sum(axis=0)
+                    xs = np.ascontiguousarray(xp[:, :, i : i + h, j : j + wd])
+                    dw[:, :, i, j] = (g3 @ xs.reshape(n, c, h * wd)
+                                      .transpose(0, 2, 1)).sum(axis=0)
             w.accumulate(dw)
         if x.requires_grad:
             # dx is the correlation of the output gradient with the spatially
             # flipped kernel, channels swapped.
-            w_flip = np.ascontiguousarray(
-                w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-            dxp, _ = _correlate(np.ascontiguousarray(g), w_flip, kh - 1, kw - 1)
-            x.accumulate(dxp[:, :, ph : ph + h, pw : pw + wd])
+            x.accumulate(_correlate(g, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
 
     return make_node(out, (x, w, b), back)
 

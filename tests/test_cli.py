@@ -110,6 +110,22 @@ class TestTrain:
         assert rc != 0
         assert "error:" in capsys.readouterr().err
 
+    def test_weights_bytes_do_not_depend_on_map_path_spelling(
+            self, tmp_path, map_path, sim_dir, monkeypatch):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"channels": 4, "unet_depth": 2,
+                                   "base_width": 2, "crop_size": 8,
+                                   "epochs": 1, "augment_copies": 1}))
+        monkeypatch.chdir(map_path.parent)
+        outs = []
+        for name, spelling in (("rel.lmw", map_path.name), ("abs.lmw", map_path)):
+            rc = main(["train", "--map", str(spelling), "--traj-dir", str(sim_dir),
+                       "--config", str(cfg), "--seed", "1", "--stride", "4",
+                       "--out", str(tmp_path / name)])
+            assert rc == 0
+            outs.append((tmp_path / name).read_bytes())
+        assert outs[0] == outs[1]
+
 
 class TestLocalize:
     def test_odom_method_reproduces_integration(self, tmp_path, map_path, sim_dir):
@@ -245,8 +261,11 @@ class TestMalformedInputs:
         save_weights(tmp_path / "missing.lmw", missing, meta)
         wide = {**meta, "model_config": {**meta["model_config"], "base_width": 8}}
         save_weights(tmp_path / "wide.lmw", weights, wide)
+        bogus = {**meta, "model_config": {**meta["model_config"], "bogus": 1}}
+        save_weights(tmp_path / "bogus.lmw", weights, bogus)
         for name, detail in (("missing.lmw", "unet.enc1.c1.w is missing"),
-                             ("wide.lmw", "unet.dec0.c1.b is (4,) in the file but (8,)")):
+                             ("wide.lmw", "unet.dec0.c1.b is (4,) in the file but (8,)"),
+                             ("bogus.lmw", "bogus.lmw: unknown config keys: ['bogus']")):
             err = localize_error(tmp_path, map_path, sim_dir / "odom_000.csv",
                                  capsys, "--method", "ours",
                                  "--weights", str(tmp_path / name))
@@ -286,6 +305,7 @@ class TestMalformedInputs:
         ([], "model config is not a JSON object"),
         ({"crop_size": "32"}, "config crop_size must be int, not '32'"),
         ("{oops", "config.json: model config is not valid JSON"),
+        ({"bogus": 1}, "config.json: unknown config keys: ['bogus']"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, map_path, sim_dir,
                                       capsys, config, message):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from mapprior import nn
+from mapprior.model import ModelConfig, init_weights
 from mapprior.nn import (AdamState, adam_step, backward, constant,
                          finite_difference_check, load_weights, parameter,
                          save_weights, zero_grads)
 from mapprior.nn.serialize import MAGIC, WeightsFormatError
+from mapprior.nn.tensor import make_node
 
 
 def conv2d_oracle(x, w, b, ph=1, pw=1):
@@ -28,6 +30,71 @@ def conv2d_oracle(x, w, b, ph=1, pw=1):
                                         * xp[ni, ci, oy + ky, ox + kx])
                     out[ni, fi, oy, ox] = acc + b[fi]
     return out
+
+
+def _tap(xp, i, j, oh, ow):
+    """Contiguous (N, C, OH*OW) copy of the inputs under kernel tap (i, j)."""
+    n, c = xp.shape[:2]
+    xs = xp[:, :, i : i + oh, j : j + ow]
+    return np.ascontiguousarray(xs).reshape(n, c, oh * ow)
+
+
+def _correlate_per_tap(x, w, ph, pw):
+    """Cross-correlation as one GEMM per kernel tap on a copy of its inputs;
+    returns (out, padded x)."""
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
+    n, _, hp, wp = xp.shape
+    f, _, kh, kw = w.shape
+    oh, ow = hp - kh + 1, wp - kw + 1
+    out = np.zeros((n, f, oh * ow), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            out += np.ascontiguousarray(w[:, :, i, j]) @ _tap(xp, i, j, oh, ow)
+    return out.reshape(n, f, oh, ow), xp
+
+
+def conv2d_per_tap(x, w, b):
+    """The slow, obvious conv2d: every tap's inputs are copied out of the
+    padded input, and dx is a full correlation cropped back to 'same'.
+    nn.conv2d must agree with it bit for bit, forward and backward."""
+    n, c, h, wd = x.data.shape
+    f, _, kh, kw = w.data.shape
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    out, xp = _correlate_per_tap(x.data, w.data, ph, pw)
+    out += b.data[:, None, None]
+
+    def back(g):
+        if b.requires_grad:
+            b.accumulate(g.sum(axis=(0, 2, 3)))
+        if w.requires_grad:
+            g3 = np.ascontiguousarray(g).reshape(n, f, h * wd)
+            dw = np.empty_like(w.data)
+            for i in range(kh):
+                for j in range(kw):
+                    xs = _tap(xp, i, j, h, wd)
+                    dw[:, :, i, j] = (g3 @ xs.transpose(0, 2, 1)).sum(axis=0)
+            w.accumulate(dw)
+        if x.requires_grad:
+            w_flip = np.ascontiguousarray(
+                w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+            dxp, _ = _correlate_per_tap(np.ascontiguousarray(g), w_flip,
+                                        kh - 1, kw - 1)
+            x.accumulate(dxp[:, :, ph : ph + h, pw : pw + wd])
+
+    return make_node(out, (x, w, b), back)
+
+
+def unet_conv_shapes(crop=32):
+    """(c_in, c_out, kernel, side) of every conv layer of the acceptance
+    U-Net."""
+    shapes = []
+    for name, p in init_weights(ModelConfig(crop_size=crop), 0).items():
+        if name.startswith("unet.") and name.endswith(".w"):
+            block = name.split(".")[1]
+            level = 0 if block == "out" else int(block[3:])
+            f, c, k, _ = p.data.shape
+            shapes.append((c, f, k, crop >> level))
+    return shapes
 
 
 class TestConv2d:
@@ -74,6 +141,33 @@ class TestConv2d:
         w = constant(np.zeros((3, 2, 2, 3), dtype=np.float32))
         with pytest.raises(ValueError, match="odd kernel"):
             nn.conv2d(x, w, constant(np.zeros(3, dtype=np.float32)))
+
+    @staticmethod
+    def outputs_and_grads(conv, x, w, b, g):
+        xt, wt, bt = (parameter(a, a.dtype) for a in (x, w, b))
+        out = conv(xt, wt, bt)
+        backward(nn.sum_all(nn.mul(out, constant(g))))
+        return out.data, xt.grad, wt.grad, bt.grad
+
+    @pytest.mark.parametrize("n, c, f, h, wd, k, dtype", [
+        *[(4, c, f, s, s, k, np.float32) for c, f, k, s in unet_conv_shapes()],
+        (1, 16, 16, 96, 96, 3, np.float32),
+        (3, 1, 4, 9, 9, 3, np.float32),
+        (2, 5, 3, 6, 6, 1, np.float32),
+        (2, 3, 4, 9, 8, 5, np.float32),
+        (2, 3, 4, 7, 5, 3, np.float32),
+        (2, 6, 5, 12, 10, 3, np.float64),
+    ])
+    def test_bit_identical_to_per_tap_oracle(self, n, c, f, h, wd, k, dtype):
+        rng = np.random.default_rng(n * 1000 + c * 100 + f + h)
+        x = rng.normal(size=(n, c, h, wd)).astype(dtype)
+        w = rng.normal(size=(f, c, k, k)).astype(dtype)
+        b = rng.normal(size=(f,)).astype(dtype)
+        g = rng.normal(size=(n, f, h, wd)).astype(dtype)
+        got = self.outputs_and_grads(nn.conv2d, x, w, b, g)
+        want = self.outputs_and_grads(conv2d_per_tap, x, w, b, g)
+        for name, a, e in zip(("out", "x.grad", "w.grad", "b.grad"), got, want):
+            assert a.dtype == e.dtype and np.array_equal(a, e), name
 
     def test_gradcheck(self):
         rng = np.random.default_rng(2)
