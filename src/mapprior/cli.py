@@ -49,14 +49,17 @@ def _atomic_file(path: Path, writer) -> None:
         raise
 
 
-def _write_manifest(path: Path, command: str, args: dict, outputs: list[str],
-                    timings: dict) -> None:
+def _write_manifest(path: Path, args: argparse.Namespace, outputs: list[str],
+                    timings: dict, **extra) -> None:
+    """Manifest recording every parsed argument of the command; extra entries
+    are added at the top level."""
     manifest = {
         "format_version": MANIFEST_VERSION,
-        "command": command,
-        "args": args,
+        "command": args.cmd,
+        "args": {k: v for k, v in vars(args).items() if k != "fn"},
         "outputs": outputs,
         "timings": timings,
+        **extra,
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     _atomic_file(path, lambda p: Path(p).write_text(text))
@@ -95,11 +98,15 @@ def _parse_start(args) -> Pose:
         gt = read_trajectory_csv(args.gt)
         return gt.pose(0)
     if getattr(args, "start", None):
-        parts = [float(v) for v in args.start.split(",")]
+        try:
+            parts = [float(v) for v in args.start.split(",")]
+        except ValueError:
+            parts = []
         if len(parts) == 2:
             parts.append(0.0)
-        if len(parts) != 3:
-            raise CliError("--start must be 'x,y' or 'x,y,theta'")
+        if len(parts) != 3 or not np.all(np.isfinite(parts)):
+            raise CliError(f"--start must be 'x,y' or 'x,y,theta' with finite "
+                           f"numbers, not {args.start!r}")
         return Pose(0.0, parts[0], parts[1], parts[2])
     raise CliError("provide --start x,y[,theta] or --gt trajectory for the start pose")
 
@@ -141,10 +148,8 @@ def cmd_simulate(args) -> int:
         _atomic_file(gt_path, lambda p, tr=traj: write_trajectory_csv(tr, p))
         _atomic_file(odom_path, lambda p, od=odom: write_odometry_csv(od, p))
         outputs += [gt_path.name, odom_path.name]
-    _write_manifest(out_dir / "manifest.json", "simulate", {
-        "map": str(args.map), "profile": args.profile, "n_trajs": args.n_trajs,
-        "duration": args.duration, "seed": args.seed, "out": str(out_dir),
-    }, outputs, {"wall_s": time.perf_counter() - t0})
+    _write_manifest(out_dir / "manifest.json", args, outputs,
+                    {"wall_s": time.perf_counter() - t0})
     return 0
 
 
@@ -172,11 +177,10 @@ def cmd_train(args) -> int:
     log_lines = ["epoch,train_loss,val_loss"]
     log_lines += [f"{e},{tr:.9g},{vl:.9g}" for e, tr, vl in history]
     _atomic_file(log_path, lambda p: Path(p).write_text("\n".join(log_lines) + "\n"))
-    _write_manifest(out.parent / (out.name + ".manifest.json"), "train", {
-        "map": str(args.map), "traj_dir": str(traj_dir), "seed": args.seed,
-        "stride": args.stride, "profile": args.profile,
-        "config": asdict(config), "out": str(out),
-    }, [out.name, log_path.name], {"wall_s": time.perf_counter() - t0})
+    _write_manifest(out.parent / (out.name + ".manifest.json"), args,
+                    [out.name, log_path.name],
+                    {"wall_s": time.perf_counter() - t0},
+                    model_config=asdict(config))
     return 0
 
 
@@ -233,13 +237,8 @@ def cmd_localize(args) -> int:
     out = Path(args.out)
     _atomic_file(out, lambda p: write_trajectory_csv(est, p))
     timings["wall_s"] = time.perf_counter() - t0
-    arg_snapshot = {
-        "map": str(args.map), "odom": str(args.odom), "method": args.method,
-        "seed": args.seed, "mode": args.mode, "weights": args.weights,
-        "gt": args.gt, "start": args.start, "out": str(out),
-    }
-    _write_manifest(out.parent / (out.name + ".manifest.json"), "localize",
-                    arg_snapshot, [out.name], timings)
+    _write_manifest(out.parent / (out.name + ".manifest.json"), args,
+                    [out.name], timings)
     return 0
 
 
@@ -302,10 +301,8 @@ def cmd_eval(args) -> int:
     cdf_lines += [f"{e:.9g},{fr:.9g}" for e, fr in cdf]
     _atomic_file(out_dir / "cdf.csv",
                  lambda p: Path(p).write_text("\n".join(cdf_lines) + "\n"))
-    _write_manifest(out_dir / "manifest.json", "eval", {
-        "est_dir": str(est_dir), "gt_dir": str(gt_dir), "out": str(out_dir),
-        "map": str(args.map) if args.map else None,
-    }, ["metrics.json", "cdf.csv"], {"wall_s": time.perf_counter() - t0})
+    _write_manifest(out_dir / "manifest.json", args, ["metrics.json", "cdf.csv"],
+                    {"wall_s": time.perf_counter() - t0})
     return 0
 
 

@@ -46,7 +46,7 @@ class ModelConfig:
     unet_depth: int = 3       # encoder levels including the bottleneck
     base_width: int = 16      # channels at the top level; doubles per level
     lstm_layers: int = 2
-    window_len: int = 5       # samples per odometry window at 1 Hz
+    window_len: int = 5       # samples per training window
     crop_size: int = 64       # training crop side, cells
     epochs: int = 100
     batch_size: int = 32
@@ -58,14 +58,23 @@ class ModelConfig:
     warmup_epochs: int = 2        # linear learning-rate ramp
 
     def __post_init__(self):
-        if self.channels < 1 or self.unet_depth < 1:
-            raise ValueError("channels and unet_depth must be >= 1")
+        for key in ("channels", "unet_depth", "base_width", "lstm_layers",
+                    "window_len", "crop_size", "batch_size", "augment_copies"):
+            value = getattr(self, key)
+            if value < 1:
+                raise ValueError(f"config {key} must be >= 1, not {value}")
+        if self.epochs < 0:
+            raise ValueError(f"config epochs must be >= 0, not {self.epochs}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"config learning_rate must be finite and > 0, "
+                             f"not {self.learning_rate}")
+        if not 0 <= self.val_fraction < 1:
+            raise ValueError(f"config val_fraction must be in [0, 1), "
+                             f"not {self.val_fraction}")
         if self.crop_size % (2 ** self.unet_depth) != 0:
             raise ValueError(
                 f"crop_size {self.crop_size} must be divisible by 2^depth "
                 f"({2 ** self.unet_depth})")
-        if self.window_len < 1 or self.lstm_layers < 1:
-            raise ValueError("window_len and lstm_layers must be >= 1")
 
     def widths(self) -> list[int]:
         return [self.base_width * (2 ** i) for i in range(self.unet_depth)]
@@ -181,12 +190,11 @@ def encode_map(occ: OccupancyMap, weights: dict,
 
 def encode_odometry(window_cells: np.ndarray, weights: dict,
                     config: ModelConfig) -> np.ndarray:
-    """Deep trajectory vector (c,) for one relative window, in cell units."""
+    """Deep trajectory vector (c,) for one relative window (L, 2) in cell
+    units; L may differ from config.window_len, the training length."""
     arr = np.asarray(window_cells, dtype=np.float32)
-    if arr.shape != (config.window_len, 2):
-        raise ValueError(
-            f"window shape {arr.shape} does not match configured "
-            f"({config.window_len}, 2)")
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != 2:
+        raise ValueError(f"window shape {arr.shape} is not (L, 2) with L >= 1")
     params = as_tensors(weights)
     out = nn.lstm_forward(constant(arr[None] * ODOM_INPUT_SCALE),
                           lstm_param_list(params, config), config.channels)
@@ -239,12 +247,14 @@ def build_training_set(occ: OccupancyMap, trajectories: list[Trajectory],
     for traj in trajectories:
         if not np.allclose(np.diff(traj.t), 1.0, rtol=0, atol=PERIOD_ATOL):
             raise ValueError("training trajectories must be sampled at 1 Hz")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, not {stride}")
     rng = np.random.default_rng(seed)
     res = occ.resolution
     jitter = config.crop_size // 4
     samples: list[TrainingSample] = []
     for traj in trajectories:
-        wins = window(traj.xy, config.window_len, 1.0)[::stride]
+        wins = window(traj.xy, config.window_len)[::stride]
         ends = traj.xy[config.window_len - 1 :][::stride]
         for k in range(len(wins)):
             end_cell = occ.world_to_cell(ends[k])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .tensor import Tensor, constant, make_node
+from .tensor import Tensor, constant
 
 # Gate layout within the stacked 4H dimension: input, forget, cell, output.
 
@@ -19,7 +19,8 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, w_ih: Tensor,
             f"w_ih shape {w_ih.data.shape} incompatible with input "
             f"{x.data.shape[1]} and hidden {hidden}")
     z = ops.add(ops.linear(x, w_ih, b_ih), ops.linear(h_prev, w_hh, b_hh))
-    gi, gf, gc, go = ops.chunk(z, 4, axis=1)
+    gi, gf, gc, go = (ops.index(z, np.s_[:, k * hidden : (k + 1) * hidden])
+                      for k in range(4))
     i = ops.sigmoid(gi)
     f = ops.sigmoid(gf)
     g = ops.tanh(gc)
@@ -35,8 +36,7 @@ def lstm_forward(seq: Tensor, layer_params: list[dict[str, Tensor]],
     of the top layer, shape (N, hidden)."""
     n, t_len, _ = seq.data.shape
     dtype = seq.data.dtype
-    inputs = [ops.narrow(seq, 1, t, 1) for t in range(t_len)]
-    xs = [_squeeze_time(x) for x in inputs]
+    xs = [ops.index(seq, np.s_[:, t]) for t in range(t_len)]
     for params in layer_params:
         h = constant(np.zeros((n, hidden), dtype=dtype))
         c = constant(np.zeros((n, hidden), dtype=dtype))
@@ -47,15 +47,3 @@ def lstm_forward(seq: Tensor, layer_params: list[dict[str, Tensor]],
             outs.append(h)
         xs = outs
     return xs[-1]
-
-
-def _squeeze_time(x: Tensor) -> Tensor:
-    """(N, 1, F) -> (N, F) reshape as a graph node."""
-    n, _, f = x.data.shape
-    out = x.data.reshape(n, f)
-
-    def back(g):
-        if x.requires_grad:
-            x.accumulate(g.reshape(n, 1, f))
-
-    return make_node(out, (x,), back)

@@ -81,28 +81,17 @@ def tanh(x: Tensor) -> Tensor:
     return make_node(out, (x,), back)
 
 
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis."""
-    idx = [slice(None)] * x.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    out = x.data[idx]
+def index(x: Tensor, key) -> Tensor:
+    """Basic indexing x.data[key] (ints and slices) as a graph node."""
+    out = x.data[key]
 
     def back(g):
         if x.requires_grad:
             full = np.zeros_like(x.data)
-            full[idx] = g
+            full[key] = g
             x.accumulate(full)
 
     return make_node(out, (x,), back)
-
-
-def chunk(x: Tensor, n: int, axis: int = 1) -> list[Tensor]:
-    size = x.data.shape[axis]
-    if size % n != 0:
-        raise ValueError(f"cannot split axis of size {size} into {n} chunks")
-    step = size // n
-    return [narrow(x, axis, i * step, step) for i in range(n)]
 
 
 def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:

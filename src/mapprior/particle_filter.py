@@ -9,7 +9,7 @@ the cloud when most particles have just crossed an obstacle.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +19,8 @@ from .occupancy import OccupancyMap, segments_hit_obstacles
 # Unused here; kept because the benchmark's tracer patches it by this name.
 from .occupancy import segment_hits_obstacle  # noqa: F401
 from .simulate import (PERIOD_ATOL, Odometry, Pose, Trajectory,
-                       integrate_heading, integrate_odometry, wrap_angle)
+                       integrate_heading, integrate_odometry, window,
+                       wrap_angle)
 
 WEIGHT_FLOOR = 1e-12
 
@@ -54,6 +55,8 @@ class FilterConfig:
             raise ValueError("particle_count must be >= 1")
         if min(self.init_sigma, self.motion_sigma_xy, self.motion_sigma_theta) < 0:
             raise ValueError("sigmas must be >= 0")
+        if not self.r_reinit > 0:
+            raise ValueError("r_reinit must be > 0")
         if not 0 < self.s_reinit <= 1:
             raise ValueError("s_reinit must be in (0, 1]")
         if self.mode not in ("pedestrian", "wheeled"):
@@ -222,7 +225,6 @@ def run_filter(odom: Odometry, occ: OccupancyMap, prior: str,
     if prior == "learned":
         if weights is None or model_config is None:
             raise ValueError("learned prior requires weights and model_config")
-        model_config = replace(model_config, window_len=config.window_len)
         map_tensor = prior_model.encode_map(occ, weights, model_config)
 
     rng = np.random.default_rng(seed)
@@ -230,6 +232,8 @@ def run_filter(odom: Odometry, occ: OccupancyMap, prior: str,
     positions = integrate_odometry(odom, (start.x, start.y))
     headings = integrate_heading(odom, start.theta)
     window_len = config.window_len
+    if len(positions) >= window_len:  # else k < 0 at every step below
+        wins = window(positions, window_len)
 
     est = start
     poses = [start]
@@ -239,15 +243,13 @@ def run_filter(odom: Odometry, occ: OccupancyMap, prior: str,
         t_start = time.perf_counter()
         particles = propagate(particles, odom.dxy[i], float(odom.dtheta[i]),
                               config, occ, rng)
-        have_window = i + 2 >= window_len  # positions[0..i+1] available
-        if prior != "none" and have_window:
-            j = i + 1
-            rel = positions[j - window_len + 1 : j + 1]
-            rel = rel - rel[0]
+        k = i + 2 - window_len  # wins[k] ends at positions[i + 1]
+        if prior != "none" and k >= 0:
+            rel = wins[k]
             if config.mode == "wheeled":
-                # est is the pose at positions[j - 1]; rotate the odometry
-                # frame into its heading frame at that same instant.
-                rot = est.theta - float(headings[j - 1])
+                # est is the pose at positions[i]; rotate the odometry frame
+                # into its heading frame at that same instant.
+                rot = est.theta - float(headings[i])
                 cr, sr = np.cos(rot), np.sin(rot)
                 rel = rel @ np.array([[cr, sr], [-sr, cr]])
             if prior == "learned":

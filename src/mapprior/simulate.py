@@ -407,21 +407,19 @@ def dead_reckoning(odom: Odometry, start: Pose) -> Trajectory:
                       theta=wrap_angle(integrate_heading(odom, start.theta)))
 
 
-def window(positions: np.ndarray, n_seconds: float, rate_hz: float) -> np.ndarray:
-    """All length-L windows of positions, re-zeroed at each window start.
+def window(positions: np.ndarray, n: int) -> np.ndarray:
+    """All windows of n samples of positions, re-zeroed at each window start.
 
-    L = n_seconds * rate_hz.  Returns (n - L + 1, L, 2); every window's first
-    entry is the zero vector and windows slide by one sample.
+    Returns (len(positions) - n + 1, n, 2); every window's first entry is the
+    zero vector and windows slide by one sample.
     """
     positions = np.asarray(positions, dtype=np.float64)
-    n_len = int(round(n_seconds * rate_hz))
-    if n_len < 1:
+    if n < 1:
         raise ValueError("window length must be >= 1 sample")
-    if len(positions) < n_len:
+    if len(positions) < n:
         raise ValueError(
-            f"stream of {len(positions)} samples is shorter than window ({n_len})"
-        )
-    idx = np.arange(n_len)[None, :] + np.arange(len(positions) - n_len + 1)[:, None]
+            f"stream of {len(positions)} samples is shorter than window ({n})")
+    idx = np.arange(n)[None, :] + np.arange(len(positions) - n + 1)[:, None]
     wins = positions[idx]
     return wins - wins[:, :1, :]
 

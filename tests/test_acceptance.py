@@ -315,7 +315,7 @@ class TestCriterion8PriorQuality:
             odom = corrupt_to_odometry(gt, NoiseProfile.pedestrian(),
                                        seed=seed + 1, resolution=occ.resolution)
             pos = integrate_odometry(odom, (gt.xy[0, 0], gt.xy[0, 1]))
-            wins = window(pos, cfg.window_len, 1.0)
+            wins = window(pos, cfg.window_len)
             for k in range(0, len(wins), 3):
                 gt_end = gt.xy[k + cfg.window_len - 1]
                 vec = encode_odometry(wins[k] / occ.resolution, weights, cfg)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mapprior import synthmaps
-from mapprior.cli import main
+from mapprior.cli import build_parser, main
 from mapprior.nn import load_weights, save_weights
 from mapprior.nn.serialize import MAGIC
 from mapprior.occupancy import save_map
@@ -306,6 +306,17 @@ class TestMalformedInputs:
         ({"crop_size": "32"}, "config crop_size must be int, not '32'"),
         ("{oops", "config.json: model config is not valid JSON"),
         ({"bogus": 1}, "config.json: unknown config keys: ['bogus']"),
+        ({"batch_size": -1}, "config.json: config batch_size must be >= 1, not -1"),
+        ({"batch_size": 0}, "config.json: config batch_size must be >= 1, not 0"),
+        ({"epochs": -3}, "config.json: config epochs must be >= 0, not -3"),
+        ({"base_width": 0}, "config.json: config base_width must be >= 1, not 0"),
+        ({"learning_rate": -0.5},
+         "config.json: config learning_rate must be finite and > 0, not -0.5"),
+        ({"augment_copies": 0},
+         "config.json: config augment_copies must be >= 1, not 0"),
+        ({"val_fraction": -1},
+         "config.json: config val_fraction must be in [0, 1), not -1"),
+        ({"crop_size": 0}, "config.json: config crop_size must be >= 1, not 0"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, map_path, sim_dir,
                                       capsys, config, message):
@@ -332,6 +343,28 @@ class TestMalformedInputs:
         assert f"est_000.csv.manifest.json: {message}" in err
         assert not (tmp_path / "ev" / "metrics.json").exists()
 
+    @pytest.mark.parametrize("stride", ["-1", "0"])
+    def test_stride_below_1_exits_2(self, tmp_path, map_path, sim_dir, capsys,
+                                    stride):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"channels": 4, "unet_depth": 2,
+                                   "base_width": 2, "crop_size": 8,
+                                   "epochs": 1}))
+        err = cli_error(capsys, "train", "--map", map_path, "--traj-dir",
+                        sim_dir, "--config", cfg, "--stride", stride,
+                        "--out", tmp_path / "w.lmw")
+        assert f"stride must be >= 1, not {stride}" in err
+        assert not (tmp_path / "w.lmw").exists()
+
+    @pytest.mark.parametrize("start", ["nan,5", "1,inf", "a,5", "1,2,-inf"])
+    def test_start_not_finite_numbers_exits_2(self, tmp_path, map_path,
+                                               sim_dir, capsys, start):
+        err = cli_error(capsys, "localize", "--map", map_path, "--odom",
+                        sim_dir / "odom_000.csv", "--method", "odom",
+                        "--start", start, "--out", tmp_path / "e.csv")
+        assert "--start must be" in err and repr(start) in err
+        assert not (tmp_path / "e.csv").exists()
+
     def test_training_walk_not_at_1_hz_exits_2(self, tmp_path, map_path,
                                                sim_dir, capsys):
         gt = read_trajectory_csv(sim_dir / "gt_000.csv")
@@ -347,6 +380,39 @@ class TestMalformedInputs:
                         walks, "--config", cfg, "--out", tmp_path / "w.lmw")
         assert "must be sampled at 1 Hz" in err
         assert not (tmp_path / "w.lmw").exists()
+
+
+class TestManifest:
+    # The fewest arguments each command parses with.
+    REQUIRED = {
+        "simulate": ["--map", "m", "--out", "o"],
+        "train": ["--map", "m", "--traj-dir", "d", "--out", "o"],
+        "localize": ["--map", "m", "--odom", "c", "--method", "odom",
+                     "--out", "o"],
+        "eval": ["--est-dir", "e", "--gt-dir", "g", "--out", "o"],
+    }
+
+    def test_args_are_every_parsed_argument(self, tmp_path, map_path, sim_dir,
+                                            trained):
+        est = tmp_path / "est"
+        assert main(["localize", "--map", str(map_path), "--odom",
+                     str(sim_dir / "odom_000.csv"), "--method", "odom",
+                     "--start", "1,1", "--out", str(est / "est_000.csv")]) == 0
+        assert main(["eval", "--est-dir", str(est), "--gt-dir", str(sim_dir),
+                     "--out", str(tmp_path / "ev")]) == 0
+        paths = {"simulate": sim_dir / "manifest.json",
+                 "train": trained.parent / (trained.name + ".manifest.json"),
+                 "localize": est / "est_000.csv.manifest.json",
+                 "eval": tmp_path / "ev" / "manifest.json"}
+        parser = build_parser()
+        for command, path in paths.items():
+            manifest = json.loads(path.read_text())
+            dests = vars(parser.parse_args([command, *self.REQUIRED[command]]))
+            assert manifest["command"] == command
+            assert set(manifest["args"]) == set(dests) - {"fn"}, command
+        train = json.loads(paths["train"].read_text())
+        assert train["args"]["stride"] == 2
+        assert train["model_config"]["channels"] == 8
 
 
 class TestEval:

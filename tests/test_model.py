@@ -78,10 +78,20 @@ class TestEncodeOdometry:
         assert np.array_equal(encode_odometry(win, w, MINI),
                               encode_odometry(win.copy(), w, MINI))
 
-    def test_wrong_length_rejected(self):
+    @pytest.mark.parametrize("shape", [(7, 3), (7,), (0, 2)])
+    def test_non_window_shape_rejected(self, shape):
         w = init_weights(MINI, 4)
         with pytest.raises(ValueError, match="window"):
-            encode_odometry(np.zeros((7, 2)), w, MINI)
+            encode_odometry(np.zeros(shape), w, MINI)
+
+    def test_any_length_matches_lstm_over_that_many_steps(self):
+        w = init_weights(MINI, 4)
+        win = np.random.default_rng(6).normal(size=(7, 2)).astype(np.float32)
+        params = lstm_param_list(as_tensors(w), MINI)
+        want = nn.lstm_forward(constant(win[None] * ODOM_INPUT_SCALE), params,
+                               MINI.channels).data[0]
+        assert MINI.window_len != 7
+        assert np.array_equal(encode_odometry(win, w, MINI), want)
 
 
 class TestScore:
@@ -208,7 +218,7 @@ class TestBuildTrainingSet:
         ds = build_training_set(rooms_map, [traj], cfg,
                                 NoiseProfile.noiseless(), seed=1)
         from mapprior.simulate import window
-        wins = window(traj.xy, 5, 1.0)
+        wins = window(traj.xy, 5)
         for k in (0, 5):
             assert np.allclose(ds[k].window_cells,
                                wins[k] / rooms_map.resolution, atol=1e-5)

@@ -290,6 +290,7 @@ class TestElementwiseOps:
             ("sigmoid", lambda t: nn.sigmoid(t)),
             ("tanh", lambda t: nn.tanh(t)),
             ("relu_offset", lambda t: nn.relu(nn.add(t, constant(np.float64(0.37))))),
+            ("index", lambda t: nn.index(t, np.s_[1:, 2])),
         ]
         for name, fn in specs:
             x = parameter(rng.normal(size=(3, 4)), np.float64)

@@ -240,6 +240,12 @@ class TestEstimate:
 
 
 class TestMaybeReinit:
+    @pytest.mark.parametrize("r_reinit", [0.0, -1.0, float("nan")])
+    def test_nonpositive_radius_rejected(self, r_reinit):
+        # A zero radius never grows, so a walled-in estimate would spin forever.
+        with pytest.raises(ValueError, match="r_reinit"):
+            FilterConfig(r_reinit=r_reinit)
+
     def test_fires_above_threshold(self, open_map):
         cfg = FilterConfig(particle_count=1000, s_reinit=0.90)
         rng = np.random.default_rng(7)

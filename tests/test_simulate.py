@@ -203,30 +203,30 @@ class TestCorruptToOdometry:
 class TestWindow:
     def test_constant_velocity_positions(self):
         positions = np.stack([np.arange(10.0), np.zeros(10)], axis=1)
-        wins = window(positions, 5.0, 1.0)
+        wins = window(positions, 5)
         expected = np.stack([np.arange(5.0), np.zeros(5)], axis=1)
         assert np.array_equal(wins[0], expected)
         assert len(wins) == 6
 
     def test_exact_length_stream_gives_one_window(self):
         positions = np.arange(10.0).reshape(5, 2)
-        wins = window(positions, 5.0, 1.0)
+        wins = window(positions, 5)
         assert wins.shape == (1, 5, 2)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(0)
         positions = rng.normal(size=(20, 2))
         shifted = positions + np.array([123.4, -56.7])
-        assert np.allclose(window(positions, 4.0, 1.0), window(shifted, 4.0, 1.0))
+        assert np.allclose(window(positions, 4), window(shifted, 4))
 
     def test_every_window_starts_at_zero(self):
         rng = np.random.default_rng(1)
-        wins = window(rng.normal(size=(30, 2)), 6.0, 1.0)
+        wins = window(rng.normal(size=(30, 2)), 6)
         assert np.array_equal(wins[:, 0, :], np.zeros((len(wins), 2)))
 
     def test_too_short_stream_raises(self):
         with pytest.raises(ValueError, match="shorter"):
-            window(np.zeros((3, 2)), 5.0, 1.0)
+            window(np.zeros((3, 2)), 5)
 
 
 class TestIntegration:
