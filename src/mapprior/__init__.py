@@ -1,6 +1,6 @@
 """Learned spatio-temporal map priors for odometry-only indoor localization."""
 
-from .occupancy import MapCrop, MapError, OccupancyMap, crop, load_map, save_map
+from .occupancy import MapError, OccupancyMap, crop, load_map, save_map
 from .simulate import (NoiseProfile, Odometry, Pose, Trajectory,
                        corrupt_to_odometry, dead_reckoning, diff_drive_step,
                        generate_trajectory, integrate_odometry, window,

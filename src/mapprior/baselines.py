@@ -38,10 +38,9 @@ def pdr(step_times: np.ndarray, headings: np.ndarray, start_xy=(0.0, 0.0),
         raise ValueError("need at least one step event")
     if start_t is None:
         start_t = step_times[0] - 1.0
-    xy = np.zeros((len(step_times) + 1, 2))
-    xy[0] = start_xy
+    start = np.asarray(start_xy, dtype=np.float64)
     steps = PDR_STRIDE * np.stack([np.cos(headings), np.sin(headings)], axis=1)
-    xy[1:] = np.asarray(start_xy) + np.cumsum(steps, axis=0)
+    xy = np.vstack([start, start + np.cumsum(steps, axis=0)])
     t = np.concatenate([[start_t], step_times])
     theta = np.concatenate([[headings[0]], headings])
     return Trajectory(t=t, xy=xy, theta=wrap_angle(theta))
@@ -56,6 +55,11 @@ def synthesize_steps(traj: Trajectory, heading_bias_per_step: float = 0.0,
     multiple; its heading is the local direction of motion plus accumulated
     per-step bias and white noise.
     """
+    if not np.isfinite(heading_bias_per_step):
+        raise ValueError(f"heading bias must be finite, not {heading_bias_per_step}")
+    if not 0 <= heading_noise_sigma < np.inf:
+        raise ValueError(f"heading noise sigma must be finite and >= 0, "
+                         f"not {heading_noise_sigma}")
     rng = np.random.default_rng(seed)
     seg = np.diff(traj.xy, axis=0)
     seg_len = np.hypot(seg[:, 0], seg[:, 1])
@@ -64,16 +68,14 @@ def synthesize_steps(traj: Trajectory, heading_bias_per_step: float = 0.0,
     n_steps = int(total / PDR_STRIDE)
     if n_steps < 1:
         raise ValueError("trajectory too short for a single stride")
-    times = np.empty(n_steps)
-    headings = np.empty(n_steps)
-    for k in range(n_steps):
-        s = (k + 1) * PDR_STRIDE
-        i = int(np.searchsorted(cum, s, side="right")) - 1
-        i = min(i, len(seg) - 1)
-        frac = (s - cum[i]) / seg_len[i] if seg_len[i] > 0 else 0.0
-        times[k] = traj.t[i] + frac * (traj.t[i + 1] - traj.t[i])
-        headings[k] = np.arctan2(seg[i, 1], seg[i, 0])
-    drift = heading_bias_per_step * np.arange(1, n_steps + 1)
+    k = np.arange(1, n_steps + 1)
+    s = k * PDR_STRIDE
+    i = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(seg) - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(seg_len[i] > 0, (s - cum[i]) / seg_len[i], 0.0)
+    times = traj.t[i] + frac * (traj.t[i + 1] - traj.t[i])
+    headings = np.arctan2(seg[i, 1], seg[i, 0])
+    drift = heading_bias_per_step * k
     drift += np.cumsum(rng.normal(0.0, heading_noise_sigma, n_steps))
     return times, wrap_angle(headings + drift)
 
@@ -98,6 +100,15 @@ class CrfParams:
     unary_weight: float = 1.0
     pairwise_weight: float = 1.0
     edge_length: float = 1.0
+
+    def __post_init__(self):
+        for key in ("unary_weight", "pairwise_weight"):
+            value = getattr(self, key)
+            if not 0 <= value < np.inf:
+                raise ValueError(f"CRF {key} must be finite and >= 0, not {value}")
+        if not 0 < self.edge_length < np.inf:
+            raise ValueError(f"CRF edge_length must be finite and > 0, "
+                             f"not {self.edge_length}")
 
 
 def build_graph(occ: OccupancyMap, edge_length: float) -> LocationGraph:

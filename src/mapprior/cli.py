@@ -36,9 +36,13 @@ class CliError(ValueError):
 
 
 def _atomic_file(path: Path, writer) -> None:
-    """Run writer(tmp_path) then atomically rename tmp_path into place."""
+    """Run writer(tmp_path) then atomically rename tmp_path into place.  The
+    file gets the mode open() would give it, not mkstemp's 0600."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    umask = os.umask(0)
+    os.umask(umask)
+    os.fchmod(fd, 0o666 & ~umask)
     os.close(fd)
     try:
         writer(tmp)
@@ -93,22 +97,23 @@ def _model_config(args) -> ModelConfig:
     return ModelConfig()
 
 
-def _parse_start(args) -> Pose:
-    if getattr(args, "gt", None):
-        gt = read_trajectory_csv(args.gt)
+def _parse_start(start: str | None, gt) -> Pose:
+    """The --start pose if given, else the first pose of the ground truth."""
+    if start is None:
+        if gt is None:
+            raise CliError("provide --start x,y[,theta] or --gt trajectory "
+                           "for the start pose")
         return gt.pose(0)
-    if getattr(args, "start", None):
-        try:
-            parts = [float(v) for v in args.start.split(",")]
-        except ValueError:
-            parts = []
-        if len(parts) == 2:
-            parts.append(0.0)
-        if len(parts) != 3 or not np.all(np.isfinite(parts)):
-            raise CliError(f"--start must be 'x,y' or 'x,y,theta' with finite "
-                           f"numbers, not {args.start!r}")
-        return Pose(0.0, parts[0], parts[1], parts[2])
-    raise CliError("provide --start x,y[,theta] or --gt trajectory for the start pose")
+    try:
+        parts = [float(v) for v in start.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) == 2:
+        parts.append(0.0)
+    if len(parts) != 3 or not np.all(np.isfinite(parts)):
+        raise CliError(f"--start must be 'x,y' or 'x,y,theta' with finite "
+                       f"numbers, not {start!r}")
+    return Pose(0.0, parts[0], parts[1], parts[2])
 
 
 def _load_model(path) -> tuple[dict, ModelConfig]:
@@ -130,8 +135,8 @@ def _load_model(path) -> tuple[dict, ModelConfig]:
 # --- commands -------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    if args.duration <= 0:
-        raise CliError("duration must be > 0")
+    if args.n_trajs < 1:
+        raise CliError(f"--n-trajs must be >= 1, not {args.n_trajs}")
     occ = _load_map(args)
     out_dir = Path(args.out)
     t0 = time.perf_counter()
@@ -187,24 +192,23 @@ def cmd_train(args) -> int:
 def cmd_localize(args) -> int:
     occ = _load_map(args)
     odom = read_odometry_csv(args.odom)
-    start = _parse_start(args)
+    gt = read_trajectory_csv(args.gt) if args.gt else None
+    start = _parse_start(args.start, gt)
     t0 = time.perf_counter()
     timings: dict = {}
 
     if args.method == "odom":
         est = dead_reckoning(odom, start)
     elif args.method == "pdr":
-        if not args.gt:
+        if gt is None:
             raise CliError("method pdr needs --gt to synthesize step events")
-        gt = read_trajectory_csv(args.gt)
         times, headings = baselines.synthesize_steps(
             gt, heading_bias_per_step=args.pdr_heading_bias,
             heading_noise_sigma=args.pdr_heading_noise, seed=args.seed)
         est = baselines.pdr(times, headings, start_xy=(start.x, start.y),
                             start_t=start.t)
     elif args.method == "crf":
-        if args.gt:
-            gt = read_trajectory_csv(args.gt)
+        if gt is not None:
             params = baselines.crf_grid_search(occ, odom, gt, (start.x, start.y))
         else:
             params = baselines.CrfParams(unary_weight=args.crf_unary,
@@ -346,9 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--weights", default=None)
     loc.add_argument("--mode", choices=["pedestrian", "wheeled"],
                      default="pedestrian")
-    loc.add_argument("--start", default=None, help="x,y[,theta] start pose")
+    loc.add_argument("--start", default=None,
+                     help="x,y[,theta] start pose; default: the first pose of --gt")
     loc.add_argument("--gt", default=None,
-                     help="ground truth CSV (start pose, pdr steps, crf search)")
+                     help="ground truth CSV (start pose unless --start is given, "
+                          "pdr steps, crf search)")
     loc.add_argument("--pdr-heading-bias", type=float, default=0.005)
     loc.add_argument("--pdr-heading-noise", type=float, default=0.01)
     loc.add_argument("--crf-unary", type=float, default=1.0)

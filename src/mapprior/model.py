@@ -18,8 +18,7 @@ criterion 3, is not regressed.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -78,9 +77,6 @@ class ModelConfig:
 
     def widths(self) -> list[int]:
         return [self.base_width * (2 ** i) for i in range(self.unet_depth)]
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -143,25 +139,24 @@ def as_tensors(weights: dict) -> dict[str, Tensor]:
 def unet_forward(x: Tensor, params: dict[str, Tensor],
                  config: ModelConfig) -> Tensor:
     """Map branch on x (N, 1, H, W); H and W must be multiples of 2^(depth-1)."""
+    def block(h, name):
+        return nn.relu(nn.conv2d(h, params[f"{name}.w"], params[f"{name}.b"]))
+
+    # One op per statement, so inference frees each input before the next op.
     skips = []
     h = x
     for i in range(config.unet_depth):
-        h = nn.relu(nn.conv2d(h, params[f"unet.enc{i}.c1.w"],
-                              params[f"unet.enc{i}.c1.b"]))
-        h = nn.relu(nn.conv2d(h, params[f"unet.enc{i}.c2.w"],
-                              params[f"unet.enc{i}.c2.b"]))
+        h = block(h, f"unet.enc{i}.c1")
+        h = block(h, f"unet.enc{i}.c2")
         if i < config.unet_depth - 1:
             skips.append(h)
             h = nn.maxpool2(h)
     for i in range(config.unet_depth - 2, -1, -1):
         h = nn.upsample2(h)
-        h = nn.relu(nn.conv2d(h, params[f"unet.dec{i}.up.w"],
-                              params[f"unet.dec{i}.up.b"]))
+        h = block(h, f"unet.dec{i}.up")
         h = nn.concat([h, skips.pop()], axis=1)
-        h = nn.relu(nn.conv2d(h, params[f"unet.dec{i}.c1.w"],
-                              params[f"unet.dec{i}.c1.b"]))
-        h = nn.relu(nn.conv2d(h, params[f"unet.dec{i}.c2.w"],
-                              params[f"unet.dec{i}.c2.b"]))
+        h = block(h, f"unet.dec{i}.c1")
+        h = block(h, f"unet.dec{i}.c2")
     return nn.conv2d(h, params["unet.out.w"], params["unet.out.b"])
 
 
@@ -223,10 +218,7 @@ class TrainingSample:
 def augment_window(rel_window: np.ndarray, noise: NoiseProfile,
                    resolution: float, rng: np.random.Generator) -> np.ndarray:
     """Velocity bias plus accumulated white position noise, window re-zeroed."""
-    if noise.fixed_bias is not None:
-        b = float(noise.fixed_bias)
-    else:
-        b = float(rng.normal(1.0, noise.velocity_bias_sigma))
+    b = float(rng.normal(1.0, noise.velocity_bias_sigma))
     steps = rng.normal(0.0, noise.additive_sigma * resolution,
                        (len(rel_window), 2))
     steps[0] = 0.0
@@ -262,10 +254,10 @@ def build_training_set(occ: OccupancyMap, trajectories: list[Trajectory],
                 center = (end_cell[0] + int(rng.integers(-jitter, jitter + 1)),
                           end_cell[1] + int(rng.integers(-jitter, jitter + 1)))
                 patch = crop(occ, center, config.crop_size)
-                values = location_target(patch.map, ends[k])
+                values = location_target(patch, ends[k])
                 noisy = augment_window(wins[k], noise, res, rng)
                 samples.append(TrainingSample(
-                    crop_free=patch.map.free.astype(np.float32),
+                    crop_free=patch.free.astype(np.float32),
                     window_cells=(noisy / res).astype(np.float32),
                     target_values=values.astype(np.float32),
                     loss_weights=np.ones_like(values, dtype=np.float32)))
@@ -273,11 +265,9 @@ def build_training_set(occ: OccupancyMap, trajectories: list[Trajectory],
 
 
 def _stack(samples: list[TrainingSample]):
-    crops = np.stack([s.crop_free for s in samples])[:, None]
-    wins = np.stack([s.window_cells for s in samples])
-    targets = np.stack([s.target_values for s in samples])
-    weights = np.stack([s.loss_weights for s in samples])
-    return crops, wins, targets, weights
+    crops, wins, targets, weights = (np.stack([getattr(s, f.name) for s in samples])
+                                     for f in fields(TrainingSample))
+    return crops[:, None], wins, targets, weights
 
 
 def _batch_loss(params: dict[str, Tensor], config: ModelConfig, crops, wins,
@@ -321,8 +311,8 @@ def _eval_loss(params: dict[str, Tensor], config: ModelConfig, data,
     return total
 
 
-def train(dataset: list[TrainingSample], config: ModelConfig, seed: int,
-          log_fn=None) -> tuple[dict[str, np.ndarray], list[tuple[int, float, float]]]:
+def train(dataset: list[TrainingSample], config: ModelConfig,
+          seed: int) -> tuple[dict[str, np.ndarray], list[tuple[int, float, float]]]:
     """Fit the model; returns the best-validation weights and the loss curve.
 
     The dataset is assumed chronological; the validation split takes the
@@ -380,6 +370,4 @@ def train(dataset: list[TrainingSample], config: ModelConfig, seed: int,
         if val < best_val:
             best_val = val
             best = {k: p.data.copy() for k, p in params.items()}
-        if log_fn is not None:
-            log_fn(epoch, total, val)
     return best, history

@@ -24,10 +24,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
@@ -45,11 +41,8 @@ def parameter(data, dtype=np.float32) -> Tensor:
     return Tensor(np.ascontiguousarray(data, dtype=dtype), requires_grad=True)
 
 
-def constant(data, dtype=None) -> Tensor:
-    arr = np.asarray(data)
-    if dtype is not None:
-        arr = arr.astype(dtype, copy=False)
-    return Tensor(arr, requires_grad=False)
+def constant(data) -> Tensor:
+    return Tensor(np.asarray(data), requires_grad=False)
 
 
 def make_node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -93,8 +86,7 @@ def backward(loss: Tensor) -> None:
 
 
 def zero_grads(params) -> None:
-    values = params.values() if hasattr(params, "values") else params
-    for p in values:
+    for p in params.values():
         p.grad = None
 
 

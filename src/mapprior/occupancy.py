@@ -84,15 +84,7 @@ class OccupancyMap:
         return self.width * self.resolution, self.height * self.resolution
 
 
-@dataclass(frozen=True)
-class MapCrop:
-    """A square window of a parent map; `offset` is the (ix, iy) of its corner cell."""
-
-    offset: tuple[int, int]
-    map: OccupancyMap
-
-
-def crop(parent: OccupancyMap, center_cell, size_cells: int) -> MapCrop:
+def crop(parent: OccupancyMap, center_cell, size_cells: int) -> OccupancyMap:
     """Size x size crop centered near center_cell, clamped to stay inside the parent.
 
     The crop's origin is shifted so world coordinates agree with the parent.
@@ -112,7 +104,7 @@ def crop(parent: OccupancyMap, center_cell, size_cells: int) -> MapCrop:
         parent.origin[0] + x0 * parent.resolution,
         parent.origin[1] + y0 * parent.resolution,
     )
-    return MapCrop(offset=(x0, y0), map=OccupancyMap(sub, parent.resolution, origin))
+    return OccupancyMap(sub, parent.resolution, origin)
 
 
 def _read_pgm_tokens(raw: bytes, count: int) -> tuple[list[bytes], int]:

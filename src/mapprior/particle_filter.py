@@ -96,7 +96,7 @@ def propagate(particles: ParticleSet, dxy, dtheta: float, config: FilterConfig,
     noise_xy = rng.normal(0.0, config.motion_sigma_xy, (p, 2))
     if config.mode == "pedestrian":
         new_xy = particles.xy + dxy + noise_xy
-        new_theta = particles.theta.copy()
+        new_theta = particles.theta
     else:
         s = float(np.hypot(dxy[0], dxy[1]))
         heading = particles.theta
@@ -139,10 +139,9 @@ def resample_low_variance(particles: ParticleSet,
     cum[-1] = 1.0
     positions = (rng.uniform(0.0, 1.0) + np.arange(p)) / p
     idx = np.searchsorted(cum, positions, side="left")
-    return ParticleSet(xy=particles.xy[idx].copy(),
-                       theta=particles.theta[idx].copy(),
+    return ParticleSet(xy=particles.xy[idx], theta=particles.theta[idx],
                        weights=np.full(p, 1.0 / p),
-                       hit_obstacle=particles.hit_obstacle[idx].copy())
+                       hit_obstacle=particles.hit_obstacle[idx])
 
 
 def estimate(particles: ParticleSet, t: float = 0.0) -> Pose:

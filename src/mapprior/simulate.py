@@ -103,14 +103,12 @@ class NoiseProfile:
     additive_sigma: per-step white noise, in cells (scaled by map resolution).
     heading_drift_sigma: per-step heading noise in rad; its integral rotates
         the reported displacement frame (wheel profile; 0 for pedestrian).
-    fixed_bias: test hook; when set, the bias is this constant.
     """
 
     velocity_bias_sigma: float = 0.5
     additive_sigma: float = 0.25
     heading_drift_sigma: float = 0.0
     bias_window_s: float = 5.0
-    fixed_bias: float | None = None
 
     def __post_init__(self):
         if min(self.velocity_bias_sigma, self.additive_sigma,
@@ -270,8 +268,11 @@ def generate_trajectory(occ: OccupancyMap, seed: int, duration_s: float,
     """
     if profile not in ("pedestrian", "wheeled"):
         raise ValueError(f"unknown profile {profile!r}")
-    if duration_s <= 0:
-        raise ValueError("duration must be > 0")
+    per_sample = int(round(1.0 / SIM_DT))  # SIM_DT steps per 1 Hz sample
+    n_steps = int(round(duration_s / SIM_DT)) if np.isfinite(duration_s) else 0
+    if n_steps < per_sample:
+        raise ValueError(f"duration {duration_s} s is not finite or too short "
+                         f"for 2 samples at 1 Hz")
     rng = np.random.default_rng(seed)
     speed = PEDESTRIAN_SPEED if profile == "pedestrian" else WHEELED_SPEED
     plan_map = _planning_map(occ)
@@ -285,7 +286,6 @@ def generate_trajectory(occ: OccupancyMap, seed: int, duration_s: float,
     path: list[np.ndarray] = []
     retries = 0
     lookahead = max(2.5 * speed * SIM_DT, occ.resolution)
-    n_steps = int(round(duration_s / SIM_DT))
     for _ in range(n_steps):
         # Acquire the current target waypoint, replanning when the path runs out.
         while True:
@@ -317,36 +317,30 @@ def generate_trajectory(occ: OccupancyMap, seed: int, duration_s: float,
             break
         desired = float(np.arctan2(to_target[1], to_target[0]))
         err = float(wrap_angle(desired - theta))
+        # Humans reorient quickly; a wheeled base turns slowly.
+        max_turn = (8.0 if profile == "pedestrian" else 1.5) * SIM_DT
+        dth = float(np.clip(err, -max_turn, max_turn))
         if profile == "pedestrian":
-            max_turn = 8.0 * SIM_DT  # humans reorient quickly
-            dth = float(np.clip(err, -max_turn, max_turn))
             theta = float(wrap_angle(theta + dth))
             step_v = speed * float(np.clip(np.cos(err), 0.15, 1.0))
             step_v = min(step_v, dist / SIM_DT)
             step = np.array([np.cos(theta), np.sin(theta)]) * step_v * SIM_DT
             new_pos = pos + step
-            if segment_hits_obstacle(occ, pos, new_pos):
-                new_pos = pos  # rotate in place and replan from here
-                path = []
         else:
-            max_turn = 1.5 * SIM_DT
-            dth = float(np.clip(err, -max_turn, max_turn))
             slow = float(np.clip(np.cos(err), 0.0, 1.0))
             ds = min(speed * slow * SIM_DT, dist)
             n_total = ds / (np.pi * WHEEL_RADIUS)
-            nx, ny, ntheta = diff_drive_step(pos[0], pos[1], theta,
-                                             n_total / 2, n_total / 2, dth)
+            nx, ny, theta = diff_drive_step(pos[0], pos[1], theta,
+                                            n_total / 2, n_total / 2, dth)
             new_pos = np.array([nx, ny])
-            if segment_hits_obstacle(occ, pos, new_pos):
-                new_pos = pos
-                ntheta = float(wrap_angle(theta + dth))
-                path = []
-            theta = ntheta
+        if segment_hits_obstacle(occ, pos, new_pos):
+            new_pos = pos  # rotate in place and replan from here
+            path = []
         pos = new_pos
         t += SIM_DT
         states.append((t, pos[0], pos[1], theta))
 
-    arr = np.asarray(states)[:: int(round(1.0 / SIM_DT))]
+    arr = np.asarray(states)[::per_sample]
     t = np.arange(len(arr), dtype=np.float64)  # exact nominal timestamps
     return Trajectory(t=t, xy=arr[:, 1:3], theta=arr[:, 3])
 
@@ -371,10 +365,7 @@ def corrupt_to_odometry(traj: Trajectory, noise: NoiseProfile,
     period = float(periods[0])
     block = max(1, int(round(noise.bias_window_s / period)))
     n_blocks = -(-n // block)
-    if noise.fixed_bias is not None:
-        biases = np.full(n_blocks, float(noise.fixed_bias))
-    else:
-        biases = rng.normal(1.0, noise.velocity_bias_sigma, n_blocks)
+    biases = rng.normal(1.0, noise.velocity_bias_sigma, n_blocks)
     bias_per_step = np.repeat(biases, block)[:n]
 
     eta_theta = rng.normal(0.0, noise.heading_drift_sigma, n)
@@ -426,10 +417,6 @@ def window(positions: np.ndarray, n: int) -> np.ndarray:
 
 # --- CSV I/O ------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     _write_csv(path, ["t", "x", "y", "theta"], traj.t, traj.xy, traj.theta)
 
@@ -451,7 +438,7 @@ def _write_csv(path, header: list[str], t, vec, ang) -> None:
         out = csv.writer(fh)
         out.writerow(header)
         for row in np.column_stack([t, vec, ang]):
-            out.writerow([_fmt(v) for v in row])
+            out.writerow([format(float(v), ".17g") for v in row])
 
 
 def _read_csv(path, cls, expected_header: list[str]):

@@ -105,29 +105,20 @@ def rasterize_kernel(window_xy: np.ndarray, resolution: float) -> TrajectoryKern
 def cross_correlate(occ: OccupancyMap, kernel: TrajectoryKernel) -> np.ndarray:
     """Free-space overlap T_bar(x) for the trajectory ending at each cell x.
 
-    T_bar(x) = sum_k grid[k] * free(x - anchor + k), with zero contribution
-    outside map bounds.  Accumulation runs in kernel row-major order so the
-    result is bit-identical to a scalar per-placement sum in the same order.
+    T_bar(x) = sum_k grid[k] * free(x - anchor + k), zero outside the map.
+    Sums run over the zero-padded map in kernel row-major order, so they are
+    bit-identical to a scalar per-placement sum in the same order.
     """
     kh, kw = kernel.grid.shape
     h, w = occ.free.shape
     if kh > h or kw > w:
         raise ValueError(f"kernel {kh}x{kw} larger than map {h}x{w}")
-    free = occ.free.astype(np.float64)
     ax, ay = kernel.anchor
+    padded = np.pad(occ.free.astype(np.float64),
+                    ((ay, kh - 1 - ay), (ax, kw - 1 - ax)))
     out = np.zeros((h, w), dtype=np.float64)
-    for ky in range(kh):
-        for kx in range(kw):
-            wgt = kernel.grid[ky, kx]
-            if wgt == 0.0:
-                continue
-            dy, dx = ky - ay, kx - ax
-            ys0, ys1 = max(0, -dy), min(h, h - dy)
-            xs0, xs1 = max(0, -dx), min(w, w - dx)
-            if ys0 >= ys1 or xs0 >= xs1:
-                continue
-            out[ys0:ys1, xs0:xs1] += wgt * free[ys0 + dy : ys1 + dy,
-                                                xs0 + dx : xs1 + dx]
+    for ky, kx in zip(*np.nonzero(kernel.grid)):
+        out += kernel.grid[ky, kx] * padded[ky : ky + h, kx : kx + w]
     return out
 
 

@@ -8,8 +8,9 @@ from mapprior.baselines import (CrfParams, LocationGraph, build_graph,
                                 crf_grid_search, crf_match, heuristic_prior,
                                 pdr, synthesize_steps)
 from mapprior.occupancy import OccupancyMap
-from mapprior.simulate import (NoiseProfile, Odometry, corrupt_to_odometry,
-                               generate_trajectory, integrate_odometry)
+from mapprior.simulate import (NoiseProfile, Odometry, Trajectory,
+                               corrupt_to_odometry, generate_trajectory,
+                               integrate_odometry, wrap_angle)
 from mapprior.targets import cross_correlate, rasterize_kernel
 
 
@@ -145,6 +146,65 @@ class TestSynthesizeSteps:
         assert len(times) == int(walked / 0.67)
         assert np.all(np.diff(times) > 0)
         assert np.all(headings > -np.pi) and np.all(headings <= np.pi)
+
+    @staticmethod
+    def steps_oracle(traj, n_steps):
+        """Step times and raw headings, one stride mark at a time."""
+        seg = np.diff(traj.xy, axis=0)
+        seg_len = np.hypot(seg[:, 0], seg[:, 1])
+        cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+        times, headings = np.empty(n_steps), np.empty(n_steps)
+        for k in range(n_steps):
+            s = (k + 1) * 0.67
+            i = min(int(np.searchsorted(cum, s, side="right")) - 1, len(seg) - 1)
+            frac = (s - cum[i]) / seg_len[i] if seg_len[i] > 0 else 0.0
+            times[k] = traj.t[i] + frac * (traj.t[i + 1] - traj.t[i])
+            headings[k] = np.arctan2(seg[i, 1], seg[i, 0])
+        return times, headings
+
+    def test_matches_per_step_oracle(self, rooms_map):
+        # A walk with stationary samples, one that ends on a stride mark
+        # inside a zero-length segment, and a simulated walk.
+        walks = [
+            [[0, 0], [0.5, 0], [0.5, 0], [1.0, 0.2], [1.0, 0.2], [2.0, 1.0]],
+            [[0, 0], [0.67, 0], [1.34, 0], [1.34, 0]],
+            generate_trajectory(rooms_map, seed=4, duration_s=60.0).xy,
+        ]
+        for xy in walks:
+            xy = np.asarray(xy, dtype=np.float64)
+            traj = Trajectory(t=np.arange(float(len(xy))), xy=xy,
+                              theta=np.zeros(len(xy)))
+            times, headings = synthesize_steps(traj)
+            want_t, want_h = self.steps_oracle(traj, len(times))
+            assert np.array_equal(times, want_t)
+            assert np.array_equal(headings, wrap_angle(want_h))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"heading_bias_per_step": np.nan}, "heading bias must be finite"),
+        ({"heading_bias_per_step": -np.inf}, "heading bias must be finite"),
+        ({"heading_noise_sigma": -0.1}, "heading noise sigma must be finite and >= 0"),
+        ({"heading_noise_sigma": np.nan}, "heading noise sigma must be finite and >= 0"),
+    ])
+    def test_bad_heading_parameters_rejected(self, rooms_map, kwargs, message):
+        gt = generate_trajectory(rooms_map, seed=4, duration_s=10.0)
+        with pytest.raises(ValueError, match=message):
+            synthesize_steps(gt, **kwargs)
+
+
+class TestCrfParams:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"unary_weight": np.nan}, "unary_weight must be finite and >= 0"),
+        ({"pairwise_weight": -1.0}, "pairwise_weight must be finite and >= 0"),
+        ({"pairwise_weight": np.inf}, "pairwise_weight must be finite and >= 0"),
+        ({"edge_length": 0.0}, "edge_length must be finite and > 0"),
+        ({"edge_length": np.nan}, "edge_length must be finite and > 0"),
+    ])
+    def test_bad_values_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            CrfParams(**kwargs)
+
+    def test_zero_weights_allowed(self):
+        assert CrfParams(unary_weight=0.0, pairwise_weight=0.0).unary_weight == 0.0
 
 
 class TestBuildGraph:

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import struct
 from pathlib import Path
 
@@ -201,6 +203,37 @@ class TestLocalize:
         est = read_trajectory_csv(p)
         assert tuple(est.xy[0]) == (2.5, 3.5)
 
+    @pytest.mark.parametrize("method", ["odom", "heuristic"])
+    def test_start_wins_over_gt(self, tmp_path, map_path, sim_dir, method):
+        p = tmp_path / "s.csv"
+        rc = main(["localize", "--map", str(map_path),
+                   "--odom", str(sim_dir / "odom_000.csv"), "--method", method,
+                   "--gt", str(sim_dir / "gt_000.csv"), "--start", "2.5,3.5,0.5",
+                   "--out", str(p)])
+        assert rc == 0
+        est = read_trajectory_csv(p)
+        assert tuple(est.xy[0]) == (2.5, 3.5)
+        assert est.theta[0] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_outputs_get_the_umask_mode(tmp_path, map_path):
+    old = os.umask(0o022)
+    try:
+        sim, est, ev = tmp_path / "sim", tmp_path / "est", tmp_path / "ev"
+        assert main(["simulate", "--map", str(map_path), "--n-trajs", "1",
+                     "--duration", "5", "--out", str(sim)]) == 0
+        est.mkdir()
+        (est / "gt_000.csv").write_bytes((sim / "gt_000.csv").read_bytes())
+        assert main(["eval", "--est-dir", str(est), "--gt-dir", str(sim),
+                     "--out", str(ev)]) == 0
+    finally:
+        os.umask(old)
+    paths = [*sim.iterdir(), *ev.iterdir()]
+    assert {p.name for p in paths} >= {"gt_000.csv", "odom_000.csv",
+                                       "manifest.json", "metrics.json"}
+    for p in paths:
+        assert stat.S_IMODE(p.stat().st_mode) == 0o644, p.name
+
 
 def cli_error(capsys, *argv) -> str:
     """Run the CLI expecting a failure; returns its one stderr line."""
@@ -355,6 +388,45 @@ class TestMalformedInputs:
                         "--out", tmp_path / "w.lmw")
         assert f"stride must be >= 1, not {stride}" in err
         assert not (tmp_path / "w.lmw").exists()
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--n-trajs", "0", "--n-trajs must be >= 1, not 0"),
+        ("--n-trajs", "-1", "--n-trajs must be >= 1, not -1"),
+        ("--duration", "nan", "duration nan s"),
+        ("--duration", "inf", "duration inf s"),
+        ("--duration", "0.5", "duration 0.5 s"),
+    ])
+    def test_bad_simulate_numbers_exit_2(self, tmp_path, map_path, capsys,
+                                         option, value, message):
+        out = tmp_path / "sim"
+        err = cli_error(capsys, "simulate", "--map", map_path, option, value,
+                        "--out", out)
+        assert message in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--method", "crf", "--crf-unary", "nan"],
+         "CRF unary_weight must be finite and >= 0, not nan"),
+        (["--method", "crf", "--crf-pairwise", "-1"],
+         "CRF pairwise_weight must be finite and >= 0, not -1.0"),
+        (["--method", "crf", "--crf-edge", "nan"],
+         "CRF edge_length must be finite and > 0, not nan"),
+        (["--method", "crf", "--crf-edge", "0"],
+         "CRF edge_length must be finite and > 0, not 0.0"),
+        (["--method", "pdr", "--pdr-heading-noise", "-1"],
+         "heading noise sigma must be finite and >= 0, not -1.0"),
+        (["--method", "pdr", "--pdr-heading-noise", "inf"],
+         "heading noise sigma must be finite and >= 0, not inf"),
+        (["--method", "pdr", "--pdr-heading-bias", "nan"],
+         "heading bias must be finite, not nan"),
+    ])
+    def test_bad_crf_and_pdr_options_exit_2(self, tmp_path, map_path, sim_dir,
+                                            capsys, extra, message):
+        if extra[1] == "pdr":
+            extra = [*extra, "--gt", sim_dir / "gt_000.csv"]
+        err = localize_error(tmp_path, map_path, sim_dir / "odom_000.csv",
+                             capsys, *extra)
+        assert message in err
 
     @pytest.mark.parametrize("start", ["nan,5", "1,inf", "a,5", "1,2,-inf"])
     def test_start_not_finite_numbers_exits_2(self, tmp_path, map_path,

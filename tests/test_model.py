@@ -29,10 +29,12 @@ class TestModelConfig:
             ModelConfig.from_dict({"channels": 8, "bogus": 1})
 
     def test_json_round_trip(self):
+        # The path the weights header takes: asdict, JSON, from_dict.
+        import dataclasses
         import json
         cfg = ModelConfig(channels=8, unet_depth=2, crop_size=16)
-        back = ModelConfig.from_dict(json.loads(cfg.to_json()))
-        assert back == cfg
+        text = json.dumps(dataclasses.asdict(cfg))
+        assert ModelConfig.from_dict(json.loads(text)) == cfg
 
 
 class TestEncodeMap:

@@ -126,22 +126,30 @@ class TestIsFree:
 
 
 class TestCrop:
+    @staticmethod
+    def corner(parent, ix, iy):
+        """World origin of a crop whose corner is parent cell (ix, iy)."""
+        return (parent.origin[0] + ix * parent.resolution,
+                parent.origin[1] + iy * parent.resolution)
+
     def test_interior_crop(self, rooms_map):
         c = crop(rooms_map, (24, 24), 16)
-        assert c.map.free.shape == (16, 16)
-        assert c.offset == (16, 16)
+        assert c.free.shape == (16, 16)
+        assert c.origin == self.corner(rooms_map, 16, 16)
+        assert c.resolution == rooms_map.resolution
 
     def test_corner_crop_is_clamped(self, rooms_map):
         c = crop(rooms_map, (0, 0), 16)
-        assert c.offset == (0, 0)
-        assert c.map.free.shape == (16, 16)
+        assert c.origin == self.corner(rooms_map, 0, 0)
+        assert np.array_equal(c.free, rooms_map.free[:16, :16])
         c2 = crop(rooms_map, (47, 47), 16)
-        assert c2.offset == (48 - 16, 48 - 16)
+        assert c2.origin == self.corner(rooms_map, 48 - 16, 48 - 16)
+        assert np.array_equal(c2.free, rooms_map.free[-16:, -16:])
 
     def test_full_size_is_identity(self, rooms_map):
         c = crop(rooms_map, (10, 3), 48)
-        assert c.offset == (0, 0)
-        assert np.array_equal(c.map.free, rooms_map.free)
+        assert c.origin == rooms_map.origin
+        assert np.array_equal(c.free, rooms_map.free)
 
     def test_oversize_raises(self, rooms_map):
         with pytest.raises(MapError, match="exceeds"):
@@ -152,15 +160,16 @@ class TestCrop:
         for _ in range(20):
             center = (int(rng.integers(48)), int(rng.integers(48)))
             c = crop(rooms_map, center, 8)
-            ox, oy = c.offset
+            ox, oy = rooms_map.world_to_cell(c.cell_center(0, 0))
+            assert c.origin == self.corner(rooms_map, ox, oy)
             for iy in range(8):
                 for ix in range(8):
-                    assert c.map.free[iy, ix] == rooms_map.free[oy + iy, ox + ix]
+                    assert c.free[iy, ix] == rooms_map.free[oy + iy, ox + ix]
 
     def test_crop_world_frame_consistent(self, rooms_map):
         c = crop(rooms_map, (20, 11), 12)
-        point = c.map.cell_center(3, 4)
-        assert c.map.is_free(point) == rooms_map.is_free(point)
+        point = c.cell_center(3, 4)
+        assert c.is_free(point) == rooms_map.is_free(point)
 
 
 def traverse_cells(occ: OccupancyMap, p0, p1):

@@ -65,6 +65,18 @@ class TestGenerateTrajectory:
         with pytest.raises(ValueError, match="free"):
             generate_trajectory(blocked, seed=0, duration_s=10.0)
 
+    @pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf, -1.0, 0.0,
+                                          0.5, 0.94])
+    def test_duration_without_two_samples_rejected(self, rooms_map, duration):
+        with pytest.raises(ValueError, match=f"duration {duration} s"):
+            generate_trajectory(rooms_map, seed=0, duration_s=duration)
+
+    def test_shortest_duration_gives_two_samples(self, rooms_map):
+        for profile in ("pedestrian", "wheeled"):
+            traj = generate_trajectory(rooms_map, seed=0, duration_s=1.0,
+                                       profile=profile)
+            assert len(traj) == 2
+
     def test_theta_wrapped_and_time_uniform(self, rooms_map):
         traj = generate_trajectory(rooms_map, seed=2, duration_s=30.0)
         assert np.all(traj.theta > -np.pi) and np.all(traj.theta <= np.pi)
@@ -152,12 +164,15 @@ class TestCorruptToOdometry:
         assert np.array_equal(odom.dxy, np.diff(traj.xy, axis=0))
         assert np.array_equal(odom.dtheta, wrap_angle(np.diff(traj.theta)))
 
-    def test_fixed_bias_doubles_displacements(self):
+    def test_one_bias_block_scales_every_displacement(self):
+        # A bias window longer than the walk: one draw scales every step.
         traj = self.make_traj()
-        noise = NoiseProfile(velocity_bias_sigma=0.0, additive_sigma=0.0,
-                             heading_drift_sigma=0.0, fixed_bias=2.0)
+        noise = NoiseProfile(velocity_bias_sigma=0.5, additive_sigma=0.0,
+                             heading_drift_sigma=0.0, bias_window_s=10.0)
         odom = corrupt_to_odometry(traj, noise, seed=0)
-        assert np.array_equal(odom.dxy, 2.0 * np.diff(traj.xy, axis=0))
+        factor = odom.dxy / np.diff(traj.xy, axis=0)
+        assert factor[0, 0] != 1.0
+        assert np.allclose(factor, factor[0, 0], rtol=1e-12, atol=0)
 
     def test_additive_noise_statistics(self):
         # 1000 steps of pure additive noise: residual std within 10% of spec.
