@@ -116,6 +116,24 @@ def _parse_start(start: str | None, gt) -> Pose:
     return Pose(0.0, parts[0], parts[1], parts[2])
 
 
+# --crf-* option, CrfParams field, crf_grid_search grid argument.
+_CRF_OPTIONS = (("crf_unary", "unary_weight", "unary_grid"),
+                ("crf_pairwise", "pairwise_weight", "pairwise_grid"),
+                ("crf_edge", "edge_length", "edge_grid"))
+
+
+def _crf_params(args, occ, odom, gt, start_xy) -> baselines.CrfParams:
+    """The --crf-* values given, checked through CrfParams; with --gt, the
+    ones not given are grid-searched, else they take CrfParams' defaults."""
+    given = [(field, grid, getattr(args, opt))
+             for opt, field, grid in _CRF_OPTIONS if getattr(args, opt) is not None]
+    params = baselines.CrfParams(**{field: v for field, _, v in given})
+    if gt is None or len(given) == len(_CRF_OPTIONS):
+        return params
+    return baselines.crf_grid_search(occ, odom, gt, start_xy,
+                                     **{grid: (v,) for _, grid, v in given})
+
+
 def _load_model(path) -> tuple[dict, ModelConfig]:
     """Weights and their model config; every layer name and shape must be
     the ones the config builds."""
@@ -208,12 +226,7 @@ def cmd_localize(args) -> int:
         est = baselines.pdr(times, headings, start_xy=(start.x, start.y),
                             start_t=start.t)
     elif args.method == "crf":
-        if gt is not None:
-            params = baselines.crf_grid_search(occ, odom, gt, (start.x, start.y))
-        else:
-            params = baselines.CrfParams(unary_weight=args.crf_unary,
-                                         pairwise_weight=args.crf_pairwise,
-                                         edge_length=args.crf_edge)
+        params = _crf_params(args, occ, odom, gt, (start.x, start.y))
         graph = baselines.build_graph(occ, params.edge_length)
         est = baselines.crf_match(graph, odom, params, (start.x, start.y))
         timings["crf_params"] = asdict(params)
@@ -357,9 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "pdr steps, crf search)")
     loc.add_argument("--pdr-heading-bias", type=float, default=0.005)
     loc.add_argument("--pdr-heading-noise", type=float, default=0.01)
-    loc.add_argument("--crf-unary", type=float, default=1.0)
-    loc.add_argument("--crf-pairwise", type=float, default=1.0)
-    loc.add_argument("--crf-edge", type=float, default=1.0)
+    crf_help = " (default 1.0; grid-searched with --gt unless given)"
+    loc.add_argument("--crf-unary", type=float, help="CRF unary weight" + crf_help)
+    loc.add_argument("--crf-pairwise", type=float,
+                     help="CRF pairwise weight" + crf_help)
+    loc.add_argument("--crf-edge", type=float, help="CRF node spacing, m" + crf_help)
     loc.add_argument("--seed", type=int, default=0)
     loc.add_argument("--out", required=True)
     loc.set_defaults(fn=cmd_localize)

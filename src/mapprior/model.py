@@ -190,7 +190,7 @@ def encode_odometry(window_cells: np.ndarray, weights: dict,
     arr = np.asarray(window_cells, dtype=np.float32)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != 2:
         raise ValueError(f"window shape {arr.shape} is not (L, 2) with L >= 1")
-    params = as_tensors(weights)
+    params = as_tensors({k: v for k, v in weights.items() if k.startswith("lstm.")})
     out = nn.lstm_forward(constant(arr[None] * ODOM_INPUT_SCALE),
                           lstm_param_list(params, config), config.channels)
     return out.data[0].copy()

@@ -56,13 +56,16 @@ def relu(x: Tensor) -> Tensor:
     return make_node(out, (x,), back)
 
 
+def logistic(d: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-d)) on an array without overflow: exp only sees -|d|,
+    as min(d, -d) so that a nan keeps its sign."""
+    e = np.exp(np.minimum(d, -d))
+    q = 1.0 + e
+    return np.where(d >= 0, 1.0 / q, e / q)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = logistic(x.data)
 
     def back(g):
         if x.requires_grad:

@@ -2,16 +2,18 @@ import json
 import os
 import stat
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mapprior import synthmaps
+from mapprior.baselines import crf_grid_search
 from mapprior.cli import build_parser, main
 from mapprior.nn import load_weights, save_weights
 from mapprior.nn.serialize import MAGIC
-from mapprior.occupancy import save_map
+from mapprior.occupancy import load_map, save_map
 from mapprior.simulate import (Trajectory, integrate_odometry,
                                read_odometry_csv, read_trajectory_csv,
                                write_trajectory_csv)
@@ -214,6 +216,40 @@ class TestLocalize:
         est = read_trajectory_csv(p)
         assert tuple(est.xy[0]) == (2.5, 3.5)
         assert est.theta[0] == pytest.approx(0.5, abs=1e-12)
+
+    @staticmethod
+    def crf_params_used(tmp_path, map_path, sim_dir, *extra) -> dict:
+        p = tmp_path / "crf.csv"
+        rc = main(["localize", "--map", str(map_path),
+                   "--odom", str(sim_dir / "odom_000.csv"), "--method", "crf",
+                   "--gt", str(sim_dir / "gt_000.csv"), "--out", str(p),
+                   *extra])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "crf.csv.manifest.json").read_text())
+        return manifest["timings"]["crf_params"]
+
+    def test_crf_gt_alone_grid_searches(self, tmp_path, map_path, sim_dir):
+        occ = load_map(map_path)
+        gt = read_trajectory_csv(sim_dir / "gt_000.csv")
+        want = crf_grid_search(occ, read_odometry_csv(sim_dir / "odom_000.csv"),
+                               gt, gt.xy[0])
+        assert self.crf_params_used(tmp_path, map_path, sim_dir) == asdict(want)
+
+    def test_crf_values_given_win_over_gt_search(self, tmp_path, map_path,
+                                                 sim_dir):
+        used = self.crf_params_used(tmp_path, map_path, sim_dir,
+                                    "--crf-unary", "3", "--crf-pairwise", "0.5",
+                                    "--crf-edge", "1.5")
+        assert used == {"unary_weight": 3.0, "pairwise_weight": 0.5,
+                        "edge_length": 1.5}
+
+    def test_crf_value_given_pins_its_grid_axis(self, tmp_path, map_path,
+                                                sim_dir):
+        used = self.crf_params_used(tmp_path, map_path, sim_dir,
+                                    "--crf-unary", "3")
+        assert used["unary_weight"] == 3.0
+        assert used["pairwise_weight"] in (0.1, 1.0, 10.0)
+        assert used["edge_length"] in (0.5, 1.0, 2.0)
 
 
 def test_outputs_get_the_umask_mode(tmp_path, map_path):
@@ -427,6 +463,13 @@ class TestMalformedInputs:
         err = localize_error(tmp_path, map_path, sim_dir / "odom_000.csv",
                              capsys, *extra)
         assert message in err
+
+    def test_bad_crf_option_with_gt_exits_2(self, tmp_path, map_path, sim_dir,
+                                            capsys):
+        err = localize_error(tmp_path, map_path, sim_dir / "odom_000.csv",
+                             capsys, "--method", "crf", "--crf-unary", "nan",
+                             "--crf-edge", "-3", "--gt", sim_dir / "gt_000.csv")
+        assert "CRF unary_weight must be finite and >= 0, not nan" in err
 
     @pytest.mark.parametrize("start", ["nan,5", "1,inf", "a,5", "1,2,-inf"])
     def test_start_not_finite_numbers_exits_2(self, tmp_path, map_path,

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from mapprior import nn
+from mapprior import model, nn, synthmaps
 from mapprior.model import ModelConfig, init_weights
 from mapprior.nn import (AdamState, adam_step, backward, constant,
                          finite_difference_check, load_weights, parameter,
                          save_weights, zero_grads)
+from mapprior.nn.lstm import lstm_cell
 from mapprior.nn.serialize import MAGIC, WeightsFormatError
 from mapprior.nn.tensor import make_node
+from mapprior.particle_filter import FilterConfig, run_filter
+from mapprior.simulate import NoiseProfile, corrupt_to_odometry, generate_trajectory
 
 
 def conv2d_oracle(x, w, b, ph=1, pw=1):
@@ -183,44 +186,92 @@ class TestConv2d:
         assert finite_difference_check(loss, {"x": x, "w": w, "b": b}) < 1e-4
 
 
+def lstm_step_composed(x, h_prev, c_prev, w_ih, w_hh, b_ih, b_hh):
+    """One LSTM cell as a graph of per-step ops: the slow, obvious version
+    that nn.lstm_forward must match bit for bit, forward and backward."""
+    hidden = h_prev.data.shape[1]
+    z = nn.add(nn.linear(x, w_ih, b_ih), nn.linear(h_prev, w_hh, b_hh))
+    gi, gf, gc, go = (nn.index(z, np.s_[:, k * hidden : (k + 1) * hidden])
+                      for k in range(4))
+    i = nn.sigmoid(gi)
+    f = nn.sigmoid(gf)
+    g = nn.tanh(gc)
+    o = nn.sigmoid(go)
+    c_t = nn.add(nn.mul(f, c_prev), nn.mul(i, g))
+    h_t = nn.mul(o, nn.tanh(c_t))
+    return h_t, c_t
+
+
+def lstm_forward_composed(seq, layer_params, hidden):
+    n, t_len, _ = seq.data.shape
+    dtype = seq.data.dtype
+    xs = [nn.index(seq, np.s_[:, t]) for t in range(t_len)]
+    for params in layer_params:
+        h = constant(np.zeros((n, hidden), dtype=dtype))
+        c = constant(np.zeros((n, hidden), dtype=dtype))
+        outs = []
+        for x in xs:
+            h, c = lstm_step_composed(x, h, c, params["w_ih"], params["w_hh"],
+                                      params["b_ih"], params["b_hh"])
+            outs.append(h)
+        xs = outs
+    return xs[-1]
+
+
+def sigmoid_masked(d):
+    """The logistic function as two masked halves: the reference for
+    nn.sigmoid's branch-free form."""
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ex = np.exp(d[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestLstm:
     def zero_params(self, hidden, feat, dtype=np.float32):
         return {
-            "w_ih": constant(np.zeros((4 * hidden, feat), dtype=dtype)),
-            "w_hh": constant(np.zeros((4 * hidden, hidden), dtype=dtype)),
-            "b_ih": constant(np.zeros(4 * hidden, dtype=dtype)),
-            "b_hh": constant(np.zeros(4 * hidden, dtype=dtype)),
+            "w_ih": np.zeros((4 * hidden, feat), dtype=dtype),
+            "w_hh": np.zeros((4 * hidden, hidden), dtype=dtype),
+            "b_ih": np.zeros(4 * hidden, dtype=dtype),
+            "b_hh": np.zeros(4 * hidden, dtype=dtype),
         }
 
     def test_zero_everything_stays_zero(self):
         p = self.zero_params(4, 3)
-        x = constant(np.zeros((2, 3), dtype=np.float32))
-        h = constant(np.zeros((2, 4), dtype=np.float32))
-        c = constant(np.zeros((2, 4), dtype=np.float32))
-        h2, c2 = nn.lstm_step(x, h, c, p["w_ih"], p["w_hh"], p["b_ih"], p["b_hh"])
-        assert np.all(h2.data == 0) and np.all(c2.data == 0)
+        x = np.zeros((2, 3), dtype=np.float32)
+        h = np.zeros((2, 4), dtype=np.float32)
+        c = np.zeros((2, 4), dtype=np.float32)
+        h2, c2, _ = lstm_cell(x, h, c, **p)
+        assert np.all(h2 == 0) and np.all(c2 == 0)
 
     def test_saturated_forget_gate_preserves_cell(self):
         hidden = 3
         p = self.zero_params(hidden, 2)
-        b = np.zeros(4 * hidden, dtype=np.float32)
-        b[hidden : 2 * hidden] = 100.0   # forget gate -> 1
-        b[0:hidden] = -100.0             # input gate -> 0
-        p["b_ih"] = constant(b)
+        p["b_ih"][hidden : 2 * hidden] = 100.0   # forget gate -> 1
+        p["b_ih"][0:hidden] = -100.0             # input gate -> 0
         rng = np.random.default_rng(3)
-        c_prev = constant(rng.normal(size=(2, hidden)).astype(np.float32))
-        x = constant(rng.normal(size=(2, 2)).astype(np.float32))
-        h = constant(np.zeros((2, hidden), dtype=np.float32))
-        _, c2 = nn.lstm_step(x, h, c_prev, p["w_ih"], p["w_hh"], p["b_ih"], p["b_hh"])
-        assert np.allclose(c2.data, c_prev.data, atol=1e-6)
+        c_prev = rng.normal(size=(2, hidden)).astype(np.float32)
+        x = rng.normal(size=(2, 2)).astype(np.float32)
+        h = np.zeros((2, hidden), dtype=np.float32)
+        _, c2, _ = lstm_cell(x, h, c_prev, **p)
+        assert np.allclose(c2, c_prev, atol=1e-6)
 
     def test_wrong_shapes_raise(self):
         p = self.zero_params(4, 3)
-        x = constant(np.zeros((2, 5), dtype=np.float32))  # feat 5 != 3
-        h = constant(np.zeros((2, 4), dtype=np.float32))
-        c = constant(np.zeros((2, 4), dtype=np.float32))
+        x = np.zeros((2, 5), dtype=np.float32)  # feat 5 != 3
+        h = np.zeros((2, 4), dtype=np.float32)
+        c = np.zeros((2, 4), dtype=np.float32)
         with pytest.raises(ValueError, match="w_ih"):
-            nn.lstm_step(x, h, c, p["w_ih"], p["w_hh"], p["b_ih"], p["b_hh"])
+            lstm_cell(x, h, c, **p)
+        with pytest.raises(ValueError, match="w_ih"):
+            nn.lstm_forward(constant(x[:, None]), [
+                {k: constant(v) for k, v in p.items()}], 4)
 
     def test_gradcheck_full_sequence(self):
         rng = np.random.default_rng(4)
@@ -237,6 +288,82 @@ class TestLstm:
             return nn.sum_all(nn.mul(out, out))
 
         assert finite_difference_check(loss, params, h=1e-3) < 1e-4
+
+    @staticmethod
+    def outputs_and_grads(forward, seq, layers, hidden, upstream):
+        """Output and every gradient of sum(forward(seq) * upstream), with
+        fresh parameters and a grad-requiring input sequence."""
+        x = parameter(seq, seq.dtype)
+        params = [{k: parameter(v, v.dtype) for k, v in p.items()} for p in layers]
+        out = forward(x, params, hidden)
+        backward(nn.sum_all(nn.mul(out, constant(upstream))))
+        return [out.data, x.grad] + [p[k].grad for p in params for k in sorted(p)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("t_len", [1, 2, 5, 20])
+    def test_bit_identical_to_composed_oracle(self, t_len, n, n_layers, dtype):
+        rng = np.random.default_rng(t_len * 100 + n * 10 + n_layers)
+        hidden, feat = 32, 2
+        layers, in_f = [], feat
+        for _ in range(n_layers):
+            layers.append({
+                "w_ih": rng.uniform(-0.5, 0.5, (4 * hidden, in_f)).astype(dtype),
+                "w_hh": rng.uniform(-0.5, 0.5, (4 * hidden, hidden)).astype(dtype),
+                "b_ih": rng.uniform(-0.5, 0.5, 4 * hidden).astype(dtype),
+                "b_hh": rng.uniform(-0.5, 0.5, 4 * hidden).astype(dtype)})
+            in_f = hidden
+        seq = rng.normal(size=(n, t_len, feat)).astype(dtype)
+        upstream = rng.normal(size=(n, hidden)).astype(dtype)
+        got = self.outputs_and_grads(nn.lstm_forward, seq, layers, hidden, upstream)
+        want = self.outputs_and_grads(lstm_forward_composed, seq, layers, hidden,
+                                      upstream)
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert same_bits(a, b), k
+        inference = nn.lstm_forward(
+            constant(seq), [{k: constant(v) for k, v in p.items()} for p in layers],
+            hidden)
+        assert not inference.requires_grad and same_bits(inference.data, want[0])
+
+    def test_batch_loss_gradients_bit_identical_to_composed_oracle(self, monkeypatch):
+        config = ModelConfig(window_len=5, crop_size=32, batch_size=32)
+        rng = np.random.default_rng(12)
+        crops = (rng.random((32, 1, 32, 32)) < 0.7).astype(np.float32)
+        wins = np.cumsum(rng.normal(size=(32, 5, 2)), axis=1).astype(np.float32)
+        targets = rng.random((32, 32, 32)).astype(np.float32)
+        weights = np.ones_like(targets)
+        results = []
+        for forward in (nn.lstm_forward, lstm_forward_composed):
+            monkeypatch.setattr(nn, "lstm_forward", forward)
+            params = init_weights(config, 3)
+            loss = model._batch_loss(params, config, crops, wins, targets, weights)
+            backward(loss)
+            results.append((loss.data, {k: p.grad for k, p in params.items()}))
+        (loss_a, grads_a), (loss_b, grads_b) = results
+        assert same_bits(loss_a, loss_b)
+        assert grads_a.keys() == grads_b.keys()
+        assert any(k.startswith("lstm.") for k in grads_a)
+        for k in grads_a:
+            assert same_bits(grads_a[k], grads_b[k]), k
+
+    def test_wheeled_learned_filter_matches_composed_oracle(self, monkeypatch):
+        occ = synthmaps.corridor_rooms()
+        gt = generate_trajectory(occ, seed=4, duration_s=45.0, profile="wheeled")
+        odom = corrupt_to_odometry(gt, NoiseProfile.wheeled(), seed=5,
+                                   resolution=occ.resolution)
+        config = ModelConfig()
+        fc = FilterConfig.wheeled(particle_count=200)
+        assert fc.window_len == 20
+        weights = {k: p.data for k, p in init_weights(config, 6).items()}
+        runs = []
+        for forward in (nn.lstm_forward, lstm_forward_composed):
+            monkeypatch.setattr(nn, "lstm_forward", forward)
+            runs.append(run_filter(odom, occ, "learned", fc, 7, gt.pose(0),
+                                   weights=weights, model_config=config))
+        assert len(runs[0].estimates) == len(gt)
+        assert same_bits(runs[0].estimates.xy, runs[1].estimates.xy)
+        assert same_bits(runs[0].estimates.theta, runs[1].estimates.theta)
 
 
 class TestBackwardEngine:
@@ -311,6 +438,17 @@ class TestElementwiseOps:
             return nn.sum_all(nn.mul(heat, heat))
 
         assert finite_difference_check(loss, {"x": x, "v": v}) < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bit_identical_to_masked_form(self, dtype):
+        rng = np.random.default_rng(9)
+        d = rng.normal(size=100_000) * rng.choice([0.1, 1.0, 10.0, 100.0], 100_000)
+        special = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan]
+        d = np.concatenate([d, special]).astype(dtype)
+        assert same_bits(nn.sigmoid(constant(d)).data, sigmoid_masked(d))
+        # A strided view, as the LSTM's gate slices are.
+        view = d[:-8].reshape(-1, 4)[:, 1:3]
+        assert same_bits(nn.sigmoid(constant(view)).data, sigmoid_masked(view))
 
     def test_sigmoid_saturation_is_stable(self):
         x = constant(np.array([-800.0, 800.0, 0.0]))
