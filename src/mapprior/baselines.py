@@ -87,7 +87,6 @@ class LocationGraph:
     """Free-space lattice of candidate positions with obstacle-free transitions."""
 
     nodes: np.ndarray              # (m, 2) world coords
-    edges: list[tuple[int, int]]   # undirected, a < b
     neighbors: list[list[int]]     # adjacency, self not included
     edge_length: float
 
@@ -118,19 +117,14 @@ def build_graph(occ: OccupancyMap, edge_length: float) -> LocationGraph:
         raise ValueError(
             f"edge_length {edge_length} below map resolution {occ.resolution}")
     spacing = max(1, int(round(edge_length / occ.resolution)))
-    coords = []
-    index: dict[tuple[int, int], int] = {}
-    for gy, iy in enumerate(range(spacing // 2, occ.height, spacing)):
-        for gx, ix in enumerate(range(spacing // 2, occ.width, spacing)):
-            if occ.free[iy, ix]:
-                index[(gx, gy)] = len(coords)
-                coords.append(occ.cell_center(ix, iy))
-    if not coords:
+    off = spacing // 2
+    rows, cols = np.nonzero(occ.free[off::spacing, off::spacing])
+    if not len(rows):
         raise ValueError("no free nodes at this spacing")
-    nodes = np.asarray(coords)
+    nodes = np.stack(occ.cell_center(off + cols * spacing, off + rows * spacing), axis=1)
+    index = dict(zip(zip(cols.tolist(), rows.tolist()), range(len(nodes))))
     max_dist = 1.5 * edge_length
-    edges: list[tuple[int, int]] = []
-    neighbors: list[list[int]] = [[] for _ in coords]
+    neighbors: list[list[int]] = [[] for _ in nodes]
     for (gx, gy), a in index.items():
         for dgx, dgy in ((1, 0), (0, 1), (1, 1), (1, -1)):
             b = index.get((gx + dgx, gy + dgy))
@@ -140,10 +134,9 @@ def build_graph(occ: OccupancyMap, edge_length: float) -> LocationGraph:
                 continue
             if segment_hits_obstacle(occ, nodes[a], nodes[b]):
                 continue
-            edges.append((min(a, b), max(a, b)))
             neighbors[a].append(b)
             neighbors[b].append(a)
-    return LocationGraph(nodes=nodes, edges=edges, neighbors=neighbors,
+    return LocationGraph(nodes=nodes, neighbors=neighbors,
                          edge_length=edge_length)
 
 

@@ -53,6 +53,10 @@ def _atomic_file(path: Path, writer) -> None:
         raise
 
 
+def _write_text(path: Path, text: str) -> None:
+    _atomic_file(path, lambda p: Path(p).write_text(text))
+
+
 def _write_manifest(path: Path, args: argparse.Namespace, outputs: list[str],
                     timings: dict, **extra) -> None:
     """Manifest recording every parsed argument of the command; extra entries
@@ -65,12 +69,11 @@ def _write_manifest(path: Path, args: argparse.Namespace, outputs: list[str],
         "timings": timings,
         **extra,
     }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    _atomic_file(path, lambda p: Path(p).write_text(text))
+    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _load_map(args) -> OccupancyMap:
-    return load_map(args.map, getattr(args, "map_meta", None))
+    return load_map(args.map, args.map_meta)
 
 
 def _read_json_object(path: Path, what: str) -> dict:
@@ -184,6 +187,10 @@ def cmd_train(args) -> int:
     if not gt_files:
         raise CliError(f"no gt_*.csv files in {traj_dir}")
     trajectories = [read_trajectory_csv(f) for f in gt_files]
+    for f, traj in zip(gt_files, trajectories):
+        if len(traj) < config.window_len:
+            raise CliError(f"{f}: {len(traj)} samples, fewer than the config's "
+                           f"window_len ({config.window_len})")
     t0 = time.perf_counter()
     noise = getattr(NoiseProfile, args.profile)()
     dataset = build_training_set(occ, trajectories, config, noise,
@@ -199,7 +206,7 @@ def cmd_train(args) -> int:
     log_path = Path(args.log) if args.log else out.with_suffix(out.suffix + ".log.csv")
     log_lines = ["epoch,train_loss,val_loss"]
     log_lines += [f"{e},{tr:.9g},{vl:.9g}" for e, tr, vl in history]
-    _atomic_file(log_path, lambda p: Path(p).write_text("\n".join(log_lines) + "\n"))
+    _write_text(log_path, "\n".join(log_lines) + "\n")
     _write_manifest(out.parent / (out.name + ".manifest.json"), args,
                     [out.name, log_path.name],
                     {"wall_s": time.perf_counter() - t0},
@@ -232,14 +239,13 @@ def cmd_localize(args) -> int:
         timings["crf_params"] = asdict(params)
     else:  # ours / heuristic
         fc = getattr(FilterConfig, args.mode)()
+        prior, weights, mcfg = "heuristic", None, None
         if args.method == "ours":
             if not args.weights:
                 raise CliError("method ours needs --weights")
-            weights, mcfg = _load_model(args.weights)
-            run = run_filter(odom, occ, "learned", fc, args.seed, start,
-                             weights=weights, model_config=mcfg)
-        else:
-            run = run_filter(odom, occ, "heuristic", fc, args.seed, start)
+            prior, (weights, mcfg) = "learned", _load_model(args.weights)
+        run = run_filter(odom, occ, prior, fc, args.seed, start,
+                         weights=weights, model_config=mcfg)
         est = run.estimates
         steps = np.asarray(run.step_seconds)
         timings.update({
@@ -287,7 +293,10 @@ def cmd_eval(args) -> int:
     for est_path, gt_path in pairs:
         est = read_trajectory_csv(est_path)
         gt = read_trajectory_csv(gt_path)
-        err = metrics.trajectory_error(est, gt)
+        try:
+            err = metrics.trajectory_error(est, gt)
+        except ValueError as exc:
+            raise CliError(f"{est_path} vs {gt_path}: {exc}") from None
         manifest_path = est_path.parent / (est_path.name + ".manifest.json")
         method, seed = None, None
         if manifest_path.exists():
@@ -311,13 +320,11 @@ def cmd_eval(args) -> int:
             "ee_m": float(np.mean([r["ee_m"] for r in per_traj])),
         },
     }
-    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    _atomic_file(out_dir / "metrics.json", lambda p: Path(p).write_text(text))
-    cdf = metrics.cdf_points(all_errors)
+    _write_text(out_dir / "metrics.json",
+                json.dumps(summary, indent=2, sort_keys=True) + "\n")
     cdf_lines = ["error_m,fraction"]
-    cdf_lines += [f"{e:.9g},{fr:.9g}" for e, fr in cdf]
-    _atomic_file(out_dir / "cdf.csv",
-                 lambda p: Path(p).write_text("\n".join(cdf_lines) + "\n"))
+    cdf_lines += [f"{e:.9g},{fr:.9g}" for e, fr in metrics.cdf_points(all_errors)]
+    _write_text(out_dir / "cdf.csv", "\n".join(cdf_lines) + "\n")
     _write_manifest(out_dir / "manifest.json", args, ["metrics.json", "cdf.csv"],
                     {"wall_s": time.perf_counter() - t0})
     return 0
@@ -327,21 +334,23 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="mapprior",
                                   description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="cmd", required=True)
+    # Options of every command that reads a map and writes a seeded result.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--map", required=True)
+    common.add_argument("--map-meta", default=None)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out", required=True)
 
-    sim = sub.add_parser("simulate", help="generate ground truth + noisy odometry")
-    sim.add_argument("--map", required=True)
-    sim.add_argument("--map-meta", default=None)
+    sim = sub.add_parser("simulate", parents=[common],
+                         help="generate ground truth + noisy odometry")
     sim.add_argument("--profile", choices=["pedestrian", "wheeled"],
                      default="pedestrian")
     sim.add_argument("--n-trajs", type=int, default=4)
     sim.add_argument("--duration", type=float, default=120.0)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--out", required=True)
     sim.set_defaults(fn=cmd_simulate)
 
-    tr = sub.add_parser("train", help="build targets and fit the prior model")
-    tr.add_argument("--map", required=True)
-    tr.add_argument("--map-meta", default=None)
+    tr = sub.add_parser("train", parents=[common],
+                        help="build targets and fit the prior model")
     tr.add_argument("--traj-dir", required=True)
     tr.add_argument("--config", default=None, help="model config JSON file")
     tr.add_argument("--profile", choices=["pedestrian", "wheeled"],
@@ -349,14 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="augmentation noise profile for training windows")
     tr.add_argument("--stride", type=int, default=1,
                     help="keep every n-th training window")
-    tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--log", default=None, help="loss curve CSV path")
-    tr.add_argument("--out", required=True)
     tr.set_defaults(fn=cmd_train)
 
-    loc = sub.add_parser("localize", help="estimate a trajectory from odometry")
-    loc.add_argument("--map", required=True)
-    loc.add_argument("--map-meta", default=None)
+    loc = sub.add_parser("localize", parents=[common],
+                         help="estimate a trajectory from odometry")
     loc.add_argument("--odom", required=True)
     loc.add_argument("--method", required=True,
                      choices=["ours", "heuristic", "crf", "pdr", "odom"])
@@ -375,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--crf-pairwise", type=float,
                      help="CRF pairwise weight" + crf_help)
     loc.add_argument("--crf-edge", type=float, help="CRF node spacing, m" + crf_help)
-    loc.add_argument("--seed", type=int, default=0)
-    loc.add_argument("--out", required=True)
     loc.set_defaults(fn=cmd_localize)
 
     ev = sub.add_parser("eval", help="ATE/EE metrics and CDF data")
@@ -391,6 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise CliError(f"--seed must be >= 0, not {args.seed}")
         return args.fn(args)
     except (CliError, MapError, ValueError, OSError, KeyError) as exc:
         msg = str(exc).replace("\n", " ")

@@ -186,11 +186,9 @@ def load_map(pgm_path, meta_path=None) -> OccupancyMap:
     return OccupancyMap(2 * pixels.astype(int) > maxval, resolution, (ox, oy))
 
 
-def save_map(occ: OccupancyMap, pgm_path, meta_path=None) -> None:
+def save_map(occ: OccupancyMap, pgm_path) -> None:
     """Write an OccupancyMap as P5 PGM (free=255, occupied=0) + JSON sidecar."""
     pgm_path = Path(pgm_path)
-    if meta_path is None:
-        meta_path = pgm_path.with_suffix(".json")
     header = f"P5\n{occ.width} {occ.height}\n255\n".encode()
     pixels = np.where(occ.free, 255, 0).astype(np.uint8)
     pgm_path.write_bytes(header + pixels.tobytes())
@@ -199,7 +197,7 @@ def save_map(occ: OccupancyMap, pgm_path, meta_path=None) -> None:
         "origin_x_m": occ.origin[0],
         "origin_y_m": occ.origin[1],
     }
-    Path(meta_path).write_text(json.dumps(meta, indent=2) + "\n")
+    pgm_path.with_suffix(".json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
 def segment_hits_obstacle(occ: OccupancyMap, p0, p1) -> bool:

@@ -104,8 +104,7 @@ def propagate(particles: ParticleSet, dxy, dtheta: float, config: FilterConfig,
         new_xy = particles.xy + step + noise_xy
         new_theta = wrap_angle(particles.theta + dtheta
                                + rng.normal(0.0, config.motion_sigma_theta, p))
-    return ParticleSet(xy=new_xy, theta=new_theta,
-                       weights=particles.weights.copy(),
+    return ParticleSet(xy=new_xy, theta=new_theta, weights=particles.weights,
                        hit_obstacle=segments_hit_obstacles(occ, particles.xy, new_xy))
 
 
@@ -159,10 +158,8 @@ def maybe_reinit(particles: ParticleSet, last_estimate: Pose,
                  config: FilterConfig, occ: OccupancyMap,
                  rng: np.random.Generator) -> tuple[ParticleSet, bool]:
     """Re-seed all particles near the last estimate when more than s_reinit of
-    them crossed an obstacle this step.  Obstacle flags are cleared either way."""
-    frac = float(particles.hit_obstacle.mean())
-    if not frac > config.s_reinit:
-        particles.hit_obstacle[:] = False
+    them crossed an obstacle this step; otherwise return the set untouched."""
+    if not particles.hit_obstacle.mean() > config.s_reinit:
         return particles, False
 
     center = np.array([last_estimate.x, last_estimate.y])

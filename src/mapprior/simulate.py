@@ -434,11 +434,9 @@ def read_odometry_csv(path) -> Odometry:
 
 
 def _write_csv(path, header: list[str], t, vec, ang) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(header)
-        for row in np.column_stack([t, vec, ang]):
-            out.writerow([format(float(v), ".17g") for v in row])
+    """17 significant digits (an exact round trip), csv.writer's CRLF line ends."""
+    np.savetxt(path, np.column_stack([t, vec, ang]), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="", newline="\r\n")
 
 
 def _read_csv(path, cls, expected_header: list[str]):

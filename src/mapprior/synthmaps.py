@@ -9,6 +9,18 @@ from .occupancy import OccupancyMap
 DEFAULT_RESOLUTION = 0.25
 
 
+def _rooms(free: np.ndarray, rows: slice, x0: int, x1: int, n_rooms: int,
+           door_row: int, door_cells: int) -> None:
+    """Wall `rows` between columns x0 and x1 into n_rooms equal rooms, then
+    open a door_cells-wide door on door_row in the middle of each room."""
+    room_w = (x1 - x0) // n_rooms
+    for k in range(1, n_rooms):
+        free[rows, x0 + k * room_w] = False
+    for k in range(n_rooms):
+        cx = x0 + k * room_w + room_w // 2
+        free[door_row, cx : cx + door_cells] = True
+
+
 def open_box(width_cells: int = 40, height_cells: int = 40,
              resolution: float = DEFAULT_RESOLUTION) -> OccupancyMap:
     """Open rectangular room with a 1-cell wall border."""
@@ -37,18 +49,11 @@ def corridor_rooms(width_cells: int = 48, height_cells: int = 48,
     free[top_wall, 1:-1] = False
     free[bot_wall, 1:-1] = False
 
-    # Interior walls splitting each side strip into rooms.
-    room_w = (width_cells - 2) // n_rooms
-    for k in range(1, n_rooms):
-        x = 1 + k * room_w
-        free[1:top_wall, x] = False
-        free[bot_wall:-1, x] = False
-
-    # One door per room into the hallway.
-    for k in range(n_rooms):
-        cx = 1 + k * room_w + room_w // 2
-        free[top_wall, cx : cx + door_cells] = True
-        free[bot_wall, cx : cx + door_cells] = True
+    # Rooms above and below the hallway, each with a door into it.
+    _rooms(free, slice(1, top_wall), 1, width_cells - 1, n_rooms, top_wall,
+           door_cells)
+    _rooms(free, slice(bot_wall, -1), 1, width_cells - 1, n_rooms, bot_wall,
+           door_cells)
     return OccupancyMap(free, resolution)
 
 
@@ -76,24 +81,11 @@ def office_floor(width_cells: int = 96, height_cells: int = 96,
     free[walls_y[0] + 1 : walls_y[1], walls_x[0] : walls_x[1] + 1] = True
     free[walls_y[0] : walls_y[1] + 1, walls_x[0] + 1 : walls_x[1]] = True
 
-    # Each quadrant: split into rooms along both axes, with doors into the
-    # nearest hallway.
-    quads = [
-        (1, walls_y[0], 1, walls_x[0]),
-        (1, walls_y[0], walls_x[1] + 1, width_cells - 1),
-        (walls_y[1] + 1, height_cells - 1, 1, walls_x[0]),
-        (walls_y[1] + 1, height_cells - 1, walls_x[1] + 1, width_cells - 1),
-    ]
-    for y0, y1, x0, x1 in quads:
-        w = x1 - x0
-        n_rooms = max(1, w // 14)
-        room_w = w // n_rooms
-        for k in range(1, n_rooms):
-            free[y0:y1, x0 + k * room_w] = False
-        hall_wall = y1 if y1 <= walls_y[0] else y0 - 1
-        for k in range(n_rooms):
-            cx = x0 + k * room_w + room_w // 2
-            free[hall_wall, cx : cx + door_cells] = True
+    # Each quadrant: a row of rooms with doors into the horizontal hallway.
+    for rows, hall_wall in ((slice(1, walls_y[0]), walls_y[0]),
+                            (slice(walls_y[1] + 1, -1), walls_y[1])):
+        for x0, x1 in ((1, walls_x[0]), (walls_x[1] + 1, width_cells - 1)):
+            _rooms(free, rows, x0, x1, max(1, (x1 - x0) // 14), hall_wall, door_cells)
     return OccupancyMap(free, resolution)
 
 
@@ -106,11 +98,6 @@ def hallway_with_rooms(length_cells: int = 64, hallway_cells: int = 4,
     wall_row = 1 + room_depth_cells
     free[1:wall_row, 1:-1] = True          # rooms strip
     free[wall_row + 1 : -1, 1:-1] = True   # hallway
-    n_rooms = 4
-    room_w = (length_cells - 2) // n_rooms
-    for k in range(1, n_rooms):
-        free[1:wall_row, 1 + k * room_w] = False
-    for k in range(n_rooms):
-        cx = 1 + k * room_w + room_w // 2
-        free[wall_row, cx : cx + door_cells] = True
+    _rooms(free, slice(1, wall_row), 1, length_cells - 1, 4, wall_row,
+           door_cells)
     return OccupancyMap(free, resolution)

@@ -85,18 +85,14 @@ def rasterize_kernel(window_xy: np.ndarray, resolution: float) -> TrajectoryKern
     if len(window_xy) == 0:
         raise ValueError("window must contain at least one position")
     cells_f = np.floor(window_xy / resolution).astype(int)
-    visited: set[tuple[int, int]] = set()
-    for i in range(len(cells_f) - 1):
-        visited.update(_bresenham(tuple(cells_f[i]), tuple(cells_f[i + 1])))
-    visited.add(tuple(cells_f[0]))
-    end = tuple(cells_f[-1])
-
-    xs = np.array([c[0] for c in visited])
-    ys = np.array([c[1] for c in visited])
+    cells = np.array([cells_f[0]] + [
+        c for i in range(len(cells_f) - 1)
+        for c in _bresenham(tuple(cells_f[i]), tuple(cells_f[i + 1]))])
+    xs, ys = cells.T
     x_min, y_min = int(xs.min()), int(ys.min())
     mask = np.zeros((int(ys.max()) - y_min + 1, int(xs.max()) - x_min + 1), dtype=bool)
     mask[ys - y_min, xs - x_min] = True
-    anchor = (int(end[0]) - x_min, int(end[1]) - y_min)
+    anchor = (int(cells_f[-1, 0]) - x_min, int(cells_f[-1, 1]) - y_min)
     grid = mask.astype(np.float64)
     grid /= grid.sum()
     return TrajectoryKernel(grid=grid, anchor=anchor)

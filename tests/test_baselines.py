@@ -7,11 +7,13 @@ from mapprior import synthmaps
 from mapprior.baselines import (CrfParams, LocationGraph, build_graph,
                                 crf_grid_search, crf_match, heuristic_prior,
                                 pdr, synthesize_steps)
-from mapprior.occupancy import OccupancyMap
+from mapprior.occupancy import OccupancyMap, segment_hits_obstacle
 from mapprior.simulate import (NoiseProfile, Odometry, Trajectory,
                                corrupt_to_odometry, generate_trajectory,
                                integrate_odometry, wrap_angle)
 from mapprior.targets import cross_correlate, rasterize_kernel
+
+from conftest import random_map
 
 
 def viterbi_oracle(graph: LocationGraph, odom: Odometry, params: CrfParams,
@@ -46,10 +48,8 @@ def viterbi_oracle(graph: LocationGraph, odom: Odometry, params: CrfParams,
 def tiny_graph(rng: np.random.Generator, n_nodes: int) -> LocationGraph:
     nodes = rng.uniform(0, 4, (n_nodes, 2))
     neighbors = [[] for _ in range(n_nodes)]
-    edges = []
 
     def connect(a, b):
-        edges.append((min(a, b), max(a, b)))
         neighbors[a].append(b)
         neighbors[b].append(a)
 
@@ -60,8 +60,31 @@ def tiny_graph(rng: np.random.Generator, n_nodes: int) -> LocationGraph:
     for a in range(n_nodes):  # no isolated nodes: crf_match rejects them
         if not neighbors[a] and n_nodes > 1:
             connect(a, int((a + 1) % n_nodes))
-    return LocationGraph(nodes=nodes, edges=edges, neighbors=neighbors,
-                         edge_length=1.0)
+    return LocationGraph(nodes=nodes, neighbors=neighbors, edge_length=1.0)
+
+
+def build_graph_loop(occ: OccupancyMap, edge_length: float):
+    """Nodes and adjacency of `build_graph`, found by a scalar scan of the
+    lattice: the straightforward version that build_graph must equal."""
+    spacing = max(1, int(round(edge_length / occ.resolution)))
+    coords = []
+    index: dict[tuple[int, int], int] = {}
+    for gy, iy in enumerate(range(spacing // 2, occ.height, spacing)):
+        for gx, ix in enumerate(range(spacing // 2, occ.width, spacing)):
+            if occ.free[iy, ix]:
+                index[(gx, gy)] = len(coords)
+                coords.append(occ.cell_center(ix, iy))
+    nodes = np.asarray(coords)
+    neighbors: list[list[int]] = [[] for _ in coords]
+    for (gx, gy), a in index.items():
+        for dgx, dgy in ((1, 0), (0, 1), (1, 1), (1, -1)):
+            b = index.get((gx + dgx, gy + dgy))
+            if b is None or np.hypot(*(nodes[b] - nodes[a])) > 1.5 * edge_length:
+                continue
+            if not segment_hits_obstacle(occ, nodes[a], nodes[b]):
+                neighbors[a].append(b)
+                neighbors[b].append(a)
+    return nodes, neighbors
 
 
 class TestHeuristicPrior:
@@ -224,10 +247,30 @@ class TestBuildGraph:
 
     def test_no_edge_crosses_obstacles(self, rooms_map):
         graph = build_graph(rooms_map, edge_length=0.5)
-        from mapprior.occupancy import segment_hits_obstacle
-        for a, b in graph.edges:
-            assert not segment_hits_obstacle(rooms_map, graph.nodes[a],
-                                             graph.nodes[b])
+        for a, nb in enumerate(graph.neighbors):
+            for b in nb:
+                assert not segment_hits_obstacle(rooms_map, graph.nodes[a],
+                                                 graph.nodes[b])
+
+    def test_matches_scalar_scan(self):
+        rng = np.random.default_rng(11)
+        maps = [synthmaps.corridor_rooms(), synthmaps.office_floor(),
+                synthmaps.hallway_with_rooms(), synthmaps.open_box(17, 23),
+                OccupancyMap(np.ones((1, 1), dtype=bool), 0.25, (-3.0, 2.5)),
+                OccupancyMap(rng.random((30, 20)) < 0.6, 0.25, (1.5, -2.25))]
+        maps += [random_map(rng, int(rng.integers(5, 40)), int(rng.integers(5, 40)),
+                            float(rng.uniform(0.1, 0.7))) for _ in range(40)]
+        for occ in maps:
+            for edge in (0.25, 0.3, 0.5, 0.75, 1.0, 1.6, 3.0):
+                nodes, neighbors = build_graph_loop(occ, edge)
+                if not len(nodes):
+                    with pytest.raises(ValueError, match="no free nodes"):
+                        build_graph(occ, edge)
+                    continue
+                graph = build_graph(occ, edge)
+                assert graph.nodes.dtype == nodes.dtype
+                assert np.array_equal(graph.nodes, nodes)
+                assert graph.neighbors == neighbors
 
     def test_all_nodes_in_free_space(self, rooms_map):
         graph = build_graph(rooms_map, edge_length=0.75)

@@ -496,6 +496,30 @@ class TestMalformedInputs:
         assert "must be sampled at 1 Hz" in err
         assert not (tmp_path / "w.lmw").exists()
 
+    def test_training_walk_shorter_than_window_exits_2(self, tmp_path, map_path,
+                                                       sim_dir, capsys):
+        gt = read_trajectory_csv(sim_dir / "gt_000.csv")
+        walks = tmp_path / "walks"
+        walks.mkdir()
+        write_trajectory_csv(Trajectory(t=gt.t[:4], xy=gt.xy[:4],
+                                        theta=gt.theta[:4]), walks / "gt_000.csv")
+        err = cli_error(capsys, "train", "--map", map_path, "--traj-dir",
+                        walks, "--out", tmp_path / "w.lmw")
+        assert "gt_000.csv: 4 samples" in err and "window_len (5)" in err
+        assert not (tmp_path / "w.lmw").exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("simulate", []),
+        ("train", ["--traj-dir", "."]),
+        ("localize", ["--odom", "o.csv", "--method", "odom", "--start", "1,1"]),
+    ])
+    def test_negative_seed_exits_2(self, tmp_path, map_path, capsys, command,
+                                   extra):
+        err = cli_error(capsys, command, "--map", map_path, "--seed", "-1",
+                        "--out", tmp_path / "out", *extra)
+        assert "--seed must be >= 0, not -1" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestManifest:
     # The fewest arguments each command parses with.
@@ -590,3 +614,16 @@ class TestEval:
                    "--out", str(out)])
         assert rc != 0
         assert "est_777" in capsys.readouterr().err
+
+    def test_no_overlapping_timestamps_names_files(self, tmp_path, sim_dir,
+                                                   capsys):
+        est = tmp_path / "est"
+        est.mkdir()
+        gt = read_trajectory_csv(sim_dir / "gt_000.csv")
+        write_trajectory_csv(Trajectory(t=gt.t + 1000.0, xy=gt.xy, theta=gt.theta),
+                             est / "est_000.csv")
+        err = cli_error(capsys, "eval", "--est-dir", est, "--gt-dir", sim_dir,
+                        "--out", tmp_path / "ev")
+        assert (f"{est / 'est_000.csv'} vs {sim_dir / 'gt_000.csv'}: "
+                "no overlapping timestamps") in err
+        assert not (tmp_path / "ev").exists()

@@ -268,7 +268,7 @@ class TestMaybeReinit:
         out, fired = maybe_reinit(ps, Pose(0, 5.0, 5.0, 0.0), cfg, open_map,
                                   np.random.default_rng(8))
         assert not fired
-        assert not out.hit_obstacle.any()  # flags cleared either way
+        assert out is ps and out.hit_obstacle.sum() == 900  # set untouched
 
     def test_radius_expands_when_estimate_is_walled_in(self):
         # Last estimate sits in a sealed pocket; free space is > r_reinit away.

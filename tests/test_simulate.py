@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from scipy import ndimage
 from mapprior import synthmaps
 from mapprior.occupancy import OccupancyMap
 from mapprior.simulate import (NoiseProfile, Odometry, Trajectory,
-                               _planning_map, corrupt_to_odometry,
+                               _planning_map, _write_csv, corrupt_to_odometry,
                                dead_reckoning, diff_drive_step,
                                generate_trajectory, integrate_odometry,
                                read_odometry_csv, read_trajectory_csv, window,
@@ -273,6 +274,25 @@ class TestCsvRoundTrip:
         back = read_odometry_csv(path)
         assert np.array_equal(back.dxy, odom.dxy)
         assert np.array_equal(back.dtheta, odom.dtheta)
+
+    def test_writer_matches_csv_module_bytes(self, tmp_path):
+        """`_write_csv` writes what csv.writer writes for '%.17g' fields."""
+        rng = np.random.default_rng(13)
+        specials = [-0.0, 0.0, 1e300, -1e300, 5e-324, 1 / 3, 1e16, np.nan,
+                    np.inf, -np.inf]
+        for trial in range(60):
+            n = int(rng.integers(1, 40))
+            rows = rng.normal(0, 10.0 ** rng.integers(-300, 300, (n, 4)))
+            rows.flat[rng.integers(0, rows.size, 3)] = rng.choice(specials, 3)
+            header = ["t", "x", "y", "theta"]
+            _write_csv(tmp_path / "a.csv", header, rows[:, 0], rows[:, 1:3], rows[:, 3])
+            with open(tmp_path / "b.csv", "w", newline="") as fh:
+                out = csv.writer(fh)
+                out.writerow(header)
+                for row in rows:
+                    out.writerow([format(float(v), ".17g") for v in row])
+            assert ((tmp_path / "a.csv").read_bytes()
+                    == (tmp_path / "b.csv").read_bytes()), trial
 
     def test_header_is_validated(self, tmp_path):
         path = tmp_path / "bad.csv"

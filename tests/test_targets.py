@@ -3,7 +3,8 @@ import pytest
 
 from mapprior.occupancy import OccupancyMap
 from mapprior.targets import (TARGET_GAIN, TARGET_SCALE, TrajectoryKernel,
-                              cross_correlate, make_target, rasterize_kernel)
+                              _bresenham, cross_correlate, make_target,
+                              rasterize_kernel)
 
 from conftest import random_map
 
@@ -34,7 +35,38 @@ def random_kernel(rng: np.random.Generator, max_side: int = 5) -> TrajectoryKern
     return rasterize_kernel(pts, 1.0)
 
 
+def rasterize_kernel_set(window_xy, resolution: float):
+    """Grid and anchor of `rasterize_kernel`, with the visited cells
+    collected in a set: the straightforward version it must equal."""
+    cells_f = np.floor(np.asarray(window_xy, dtype=np.float64) / resolution).astype(int)
+    visited = {tuple(cells_f[0])}
+    for i in range(len(cells_f) - 1):
+        visited.update(_bresenham(tuple(cells_f[i]), tuple(cells_f[i + 1])))
+    xs = np.array([c[0] for c in visited])
+    ys = np.array([c[1] for c in visited])
+    x_min, y_min = int(xs.min()), int(ys.min())
+    mask = np.zeros((int(ys.max()) - y_min + 1, int(xs.max()) - x_min + 1), dtype=bool)
+    mask[ys - y_min, xs - x_min] = True
+    grid = mask.astype(np.float64)
+    grid /= grid.sum()
+    return grid, (int(cells_f[-1][0]) - x_min, int(cells_f[-1][1]) - y_min)
+
+
 class TestRasterizeKernel:
+    def test_matches_set_oracle(self):
+        rng = np.random.default_rng(12)
+        for trial in range(3000):
+            n = int(rng.integers(1, 25))
+            pts = np.cumsum(rng.normal(0, rng.choice([0.0, 0.1, 0.5, 2.0]),
+                                       (n, 2)), axis=0) + rng.uniform(-5, 5, 2)
+            res = float(rng.choice([0.25, 0.5, 1.0]))
+            k = rasterize_kernel(pts, res)
+            grid, anchor = rasterize_kernel_set(pts, res)
+            assert k.grid.dtype == grid.dtype, trial
+            assert np.array_equal(k.grid, grid), trial
+            assert k.anchor == anchor, trial
+            assert all(type(a) is int for a in k.anchor), trial
+
     def test_stationary_window_degenerates(self):
         k = rasterize_kernel(np.zeros((5, 2)), 0.25)
         assert k.grid.shape == (1, 1)
