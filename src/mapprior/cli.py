@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, metrics
-from .model import ModelConfig, build_training_set, init_weights, train
+from .model import (ModelConfig, build_training_set, init_weights,
+                    require_1hz, train)
 from .nn import load_weights, save_weights
 from .occupancy import MapError, OccupancyMap, load_map
 from .particle_filter import FilterConfig, run_filter
@@ -191,6 +192,10 @@ def cmd_train(args) -> int:
         if len(traj) < config.window_len:
             raise CliError(f"{f}: {len(traj)} samples, fewer than the config's "
                            f"window_len ({config.window_len})")
+        try:
+            require_1hz(traj)
+        except ValueError as exc:
+            raise CliError(f"{f}: {exc}") from None
     t0 = time.perf_counter()
     noise = getattr(NoiseProfile, args.profile)()
     dataset = build_training_set(occ, trajectories, config, noise,

@@ -225,6 +225,15 @@ def augment_window(rel_window: np.ndarray, noise: NoiseProfile,
     return b * rel_window + np.cumsum(steps, axis=0)
 
 
+def require_1hz(traj: Trajectory) -> None:
+    """Raise unless traj is sampled every 1 s: training windows are counts."""
+    periods = np.diff(traj.t)
+    if not np.allclose(periods, 1.0, rtol=0, atol=PERIOD_ATOL):
+        lo, hi = float(periods.min()), float(periods.max())
+        every = f"{lo:g}" if hi - lo <= PERIOD_ATOL else f"{lo:g} to {hi:g}"
+        raise ValueError(f"sampled every {every} s, not at 1 Hz")
+
+
 def build_training_set(occ: OccupancyMap, trajectories: list[Trajectory],
                        config: ModelConfig, noise: NoiseProfile, seed: int,
                        stride: int = 1) -> list[TrainingSample]:
@@ -234,11 +243,10 @@ def build_training_set(occ: OccupancyMap, trajectories: list[Trajectory],
     central half of the crop.  The target is `location_target` of the true
     end position with unit loss weights; the window is the clean window with
     `augment_window` noise.  config.target_dilate has no effect.  Windows
-    are sample counts, so every trajectory must have a 1 s period.
+    are sample counts, so every trajectory must pass `require_1hz`.
     """
     for traj in trajectories:
-        if not np.allclose(np.diff(traj.t), 1.0, rtol=0, atol=PERIOD_ATOL):
-            raise ValueError("training trajectories must be sampled at 1 Hz")
+        require_1hz(traj)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, not {stride}")
     rng = np.random.default_rng(seed)

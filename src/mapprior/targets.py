@@ -11,6 +11,14 @@ pins).  It scores where a window *fits*, not where it *was*: on open floors
 a short window fits almost everywhere, so a model regressing it learns
 little about the agent's position.  The overlap itself is the heuristic
 prior of `baselines`.
+
+The overlap is computed in small integers.  A kernel puts the same weight w
+on each of its n visited cells and the map is 0/1, so each term of a cell's
+float sum is w or +0.0, and adding +0.0 changes nothing.  The sum therefore
+depends only on m, how many of the cell's taps land on free cells, and
+equals the m-th entry of the sequential sum 0, w, w + w, ...  Counting the
+free taps in uint8 or uint16 and looking that entry up gives the float sum's
+bytes.
 """
 
 from __future__ import annotations
@@ -37,8 +45,9 @@ LOCATION_FLOOR = 0.1
 class TrajectoryKernel:
     """Normalized rasterized trajectory with the end cell as alignment anchor.
 
-    grid[ky, kx] holds nonnegative weights summing to 1 on a tight bounding
-    box; anchor = (ax, ay) is the end position's cell within the grid.
+    grid[ky, kx] is 1/n on each of the n visited cells of a tight bounding
+    box and 0 elsewhere; `cross_correlate` relies on that uniform weight.
+    anchor = (ax, ay) is the end position's cell within the grid.
     """
 
     grid: np.ndarray
@@ -101,21 +110,33 @@ def rasterize_kernel(window_xy: np.ndarray, resolution: float) -> TrajectoryKern
 def cross_correlate(occ: OccupancyMap, kernel: TrajectoryKernel) -> np.ndarray:
     """Free-space overlap T_bar(x) for the trajectory ending at each cell x.
 
-    T_bar(x) = sum_k grid[k] * free(x - anchor + k), zero outside the map.
-    Sums run over the zero-padded map in kernel row-major order, so they are
-    bit-identical to a scalar per-placement sum in the same order.
+    T_bar(x) = sum_k grid[k] * free(x - anchor + k), zero outside the map,
+    summed left to right in kernel row-major order.  Each term is w or +0.0,
+    so the sum is table[m], with m the number of free taps and table the
+    same left-to-right sum of w's: table = [0.0, w, w + w, ...].  The counts
+    add one shifted slice of the zero-padded map per tap, in the smallest
+    unsigned type that holds the tap count (uint8 below 256 taps), and one
+    lookup turns them into float64.  The result is bit-identical to the
+    float sum, and to a scalar per-placement sum in the same order.
     """
-    kh, kw = kernel.grid.shape
+    grid = kernel.grid
+    kh, kw = grid.shape
     h, w = occ.free.shape
     if kh > h or kw > w:
         raise ValueError(f"kernel {kh}x{kw} larger than map {h}x{w}")
+    ky, kx = np.nonzero(grid)
+    weights = grid[ky, kx]
+    if not (weights.size and 0 < weights[0] < np.inf
+            and np.all(weights == weights[0])):
+        raise ValueError("kernel needs one positive finite weight on its "
+                         f"nonzero cells, not {np.unique(weights)[:4]}")
+    table = np.concatenate([[0.0], np.cumsum(np.full(weights.size, weights[0]))])
     ax, ay = kernel.anchor
-    padded = np.pad(occ.free.astype(np.float64),
-                    ((ay, kh - 1 - ay), (ax, kw - 1 - ax)))
-    out = np.zeros((h, w), dtype=np.float64)
-    for ky, kx in zip(*np.nonzero(kernel.grid)):
-        out += kernel.grid[ky, kx] * padded[ky : ky + h, kx : kx + w]
-    return out
+    padded = np.pad(occ.free, ((ay, kh - 1 - ay), (ax, kw - 1 - ax))).view(np.uint8)
+    count = np.zeros((h, w), dtype=np.min_scalar_type(weights.size))
+    for y, x in zip(ky.tolist(), kx.tolist()):
+        count += padded[y : y + h, x : x + w]
+    return table.take(count.astype(np.intp), mode="clip")
 
 
 def make_target(occ: OccupancyMap, window_xy: np.ndarray) -> TargetMap:

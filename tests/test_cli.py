@@ -493,7 +493,24 @@ class TestMalformedInputs:
                                    "epochs": 1}))
         err = cli_error(capsys, "train", "--map", map_path, "--traj-dir",
                         walks, "--config", cfg, "--out", tmp_path / "w.lmw")
-        assert "must be sampled at 1 Hz" in err
+        assert "gt_000.csv: sampled every 0.5 s, not at 1 Hz" in err
+        assert not (tmp_path / "w.lmw").exists()
+
+    def test_training_walk_with_uneven_period_names_its_file(self, tmp_path,
+                                                             map_path, sim_dir,
+                                                             capsys):
+        gt = read_trajectory_csv(sim_dir / "gt_000.csv")
+        walks = tmp_path / "walks"
+        walks.mkdir()
+        write_trajectory_csv(gt, walks / "gt_000.csv")
+        t = gt.t.copy()
+        t[7:] += 0.5
+        write_trajectory_csv(Trajectory(t=t, xy=gt.xy, theta=gt.theta),
+                             walks / "gt_001.csv")
+        err = cli_error(capsys, "train", "--map", map_path, "--traj-dir",
+                        walks, "--out", tmp_path / "w.lmw")
+        assert "gt_001.csv: sampled every 1 to 1.5 s, not at 1 Hz" in err
+        assert "gt_000.csv" not in err
         assert not (tmp_path / "w.lmw").exists()
 
     def test_training_walk_shorter_than_window_exits_2(self, tmp_path, map_path,

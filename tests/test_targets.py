@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from mapprior import simulate, synthmaps
+from mapprior.baselines import heuristic_prior
 from mapprior.occupancy import OccupancyMap
 from mapprior.targets import (TARGET_GAIN, TARGET_SCALE, TrajectoryKernel,
                               _bresenham, cross_correlate, make_target,
@@ -26,6 +28,27 @@ def brute_force_overlap(occ: OccupancyMap, kernel: TrajectoryKernel) -> np.ndarr
                     acc += kernel.grid[ky, kx] * free
             out[y, x] = acc
     return out
+
+
+def cross_correlate_slices(occ: OccupancyMap, kernel: TrajectoryKernel) -> np.ndarray:
+    """Overlap as a float sum: one weighted shifted slice of the zero-padded
+    map added per nonzero kernel cell, in row-major order."""
+    kh, kw = kernel.grid.shape
+    h, w = occ.free.shape
+    ax, ay = kernel.anchor
+    padded = np.pad(occ.free.astype(np.float64),
+                    ((ay, kh - 1 - ay), (ax, kw - 1 - ax)))
+    out = np.zeros((h, w), dtype=np.float64)
+    for ky, kx in zip(*np.nonzero(kernel.grid)):
+        out += kernel.grid[ky, kx] * padded[ky : ky + h, kx : kx + w]
+    return out
+
+
+def serpentine_kernel(n: int, side: int = 16) -> TrajectoryKernel:
+    """Kernel of exactly n cells: a walk that sweeps rows of `side` cells."""
+    rows, cols = np.divmod(np.arange(n), side)
+    cols = np.where(rows % 2 == 1, side - 1 - cols, cols)
+    return rasterize_kernel(np.stack([cols, rows], axis=1) + 0.5, 1.0)
 
 
 def random_kernel(rng: np.random.Generator, max_side: int = 5) -> TrajectoryKernel:
@@ -118,7 +141,6 @@ class TestCrossCorrelate:
 
     def test_all_occupied_is_zero(self):
         occ = OccupancyMap(np.zeros((6, 6), dtype=bool), 1.0)
-        occ = OccupancyMap(~occ.free & False | np.zeros((6, 6), dtype=bool), 1.0)
         k = rasterize_kernel(np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0)
         assert np.all(cross_correlate(occ, k) == 0.0)
 
@@ -151,6 +173,57 @@ class TestCrossCorrelate:
         k = TrajectoryKernel(grid=np.full((3, 3), 1 / 9), anchor=(1, 1))
         with pytest.raises(ValueError, match="larger"):
             cross_correlate(occ, k)
+
+    @pytest.mark.parametrize("grid", [[[0.25, 0.75]], [[0.0, 0.0]],
+                                      [[0.5, -0.5]], [[np.inf, 0.0]]])
+    def test_non_uniform_or_empty_kernel_raises(self, grid):
+        occ = OccupancyMap(np.ones((4, 4), dtype=bool), 1.0)
+        k = TrajectoryKernel(grid=np.array(grid), anchor=(0, 0))
+        with pytest.raises(ValueError, match="one positive finite weight") as err:
+            cross_correlate(occ, k)
+        assert "\n" not in str(err.value)
+
+
+class TestCountsMatchFloatSum:
+    """`cross_correlate` counts free taps in small ints; the float sum of
+    `cross_correlate_slices` is its oracle, byte for byte."""
+
+    @staticmethod
+    def assert_bytes_equal(got, want, what):
+        assert got.dtype == want.dtype == np.float64, what
+        assert got.tobytes() == want.tobytes(), what
+
+    def test_query_windows_on_256_map(self):
+        # The benchmark's query walks: window_len positions, ~1.4 m steps.
+        occ = synthmaps.office_floor(256, 256)
+        rng = np.random.default_rng(0)
+        for q in range(200):
+            win = np.vstack([[0.0, 0.0],
+                             np.cumsum(rng.normal(0.0, 1.0, (4, 2)), axis=0)])
+            want = cross_correlate_slices(occ, rasterize_kernel(win, occ.resolution))
+            self.assert_bytes_equal(heuristic_prior(occ, win), want, f"window {q}")
+
+    def test_held_out_stream_on_acceptance_map(self):
+        occ = synthmaps.office_floor()
+        gt = simulate.generate_trajectory(occ, seed=500, duration_s=120.0)
+        odom = simulate.corrupt_to_odometry(gt, simulate.NoiseProfile.pedestrian(),
+                                            seed=501, resolution=occ.resolution)
+        wins = simulate.window(simulate.integrate_odometry(odom), 5)
+        assert len(wins) > 100
+        for i, win in enumerate(wins):
+            want = cross_correlate_slices(occ, rasterize_kernel(win, occ.resolution))
+            self.assert_bytes_equal(make_target(occ, win).overlap, want, f"window {i}")
+
+    @pytest.mark.parametrize("n", [255, 256, 300])
+    def test_uint8_to_uint16_boundary(self, n):
+        k = serpentine_kernel(n)
+        assert np.count_nonzero(k.grid) == n
+        all_free = OccupancyMap(np.ones((40, 40), dtype=bool), 0.25)
+        for occ in (all_free, synthmaps.office_floor(256, 256)):
+            want = cross_correlate_slices(occ, k)
+            self.assert_bytes_equal(cross_correlate(occ, k), want, occ.free.shape)
+        # On the 256-cell map too, some placement has every tap free.
+        assert want.max() == cross_correlate_slices(all_free, k).max()
 
 
 class TestMakeTarget:

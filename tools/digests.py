@@ -111,6 +111,19 @@ def kernels(out: dict, occ, found: dict) -> None:
     out["baselines.heuristic_prior"] = digest(
         [baselines.heuristic_prior(occ, w) for w in wins])
     out["targets.make_target"] = digest(targets.make_target(occ, wins[3]))
+    # The benchmark's query walks on its 256-cell map, and one kernel of
+    # 300 cells, past the 255 that a uint8 count holds.
+    big = synthmaps.office_floor(256, 256)
+    rng = np.random.default_rng(4)
+    wins = [np.vstack([[0.0, 0.0], rng.normal(0, 1.0, (4, 2)).cumsum(axis=0)])
+            for _ in range(100)]
+    ks = [targets.rasterize_kernel(w, big.resolution) for w in wins]
+    rows, cols = np.divmod(np.arange(300), 16)
+    cols = np.where(rows % 2 == 1, 15 - cols, cols)
+    ks.append(targets.rasterize_kernel(np.stack([cols, rows], axis=1) + 0.5, 1.0))
+    assert np.count_nonzero(ks[-1].grid) == 300
+    out["targets.cross_correlate"] = digest(
+        [targets.cross_correlate(big, k) for k in ks])
 
 
 def training(out: dict, occ, found: dict) -> dict:
