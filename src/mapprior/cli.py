@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, metrics
-from .model import (ModelConfig, build_training_set, init_weights,
-                    require_1hz, train)
+from .model import (ModelConfig, TrainingDiverged, build_training_set,
+                    init_weights, require_1hz, train)
 from .nn import load_weights, save_weights
-from .occupancy import MapError, OccupancyMap, load_map
+from .occupancy import load_map
 from .particle_filter import FilterConfig, run_filter
 from .simulate import (NoiseProfile, Pose, generate_trajectory,
                        corrupt_to_odometry, dead_reckoning, read_odometry_csv,
@@ -30,10 +30,6 @@ from .simulate import (NoiseProfile, Pose, generate_trajectory,
                        write_trajectory_csv)
 
 MANIFEST_VERSION = 1
-
-
-class CliError(ValueError):
-    pass
 
 
 def _atomic_file(path: Path, writer) -> None:
@@ -73,17 +69,13 @@ def _write_manifest(path: Path, args: argparse.Namespace, outputs: list[str],
     _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _load_map(args) -> OccupancyMap:
-    return load_map(args.map, args.map_meta)
-
-
 def _read_json_object(path: Path, what: str) -> dict:
     try:
         obj = json.loads(path.read_text())
     except ValueError as exc:
-        raise CliError(f"{path}: {what} is not valid JSON ({exc})") from None
+        raise ValueError(f"{path}: {what} is not valid JSON ({exc})") from None
     if not isinstance(obj, dict):
-        raise CliError(f"{path}: {what} is not a JSON object")
+        raise ValueError(f"{path}: {what} is not a JSON object")
     return obj
 
 
@@ -91,22 +83,15 @@ def _config_from_dict(d, path) -> ModelConfig:
     try:
         return ModelConfig.from_dict(d)
     except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from None
-
-
-def _model_config(args) -> ModelConfig:
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        return _config_from_dict(_read_json_object(path, "model config"), path)
-    return ModelConfig()
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_start(start: str | None, gt) -> Pose:
     """The --start pose if given, else the first pose of the ground truth."""
     if start is None:
         if gt is None:
-            raise CliError("provide --start x,y[,theta] or --gt trajectory "
-                           "for the start pose")
+            raise ValueError("provide --start x,y[,theta] or --gt trajectory "
+                             "for the start pose")
         return gt.pose(0)
     try:
         parts = [float(v) for v in start.split(",")]
@@ -115,8 +100,8 @@ def _parse_start(start: str | None, gt) -> Pose:
     if len(parts) == 2:
         parts.append(0.0)
     if len(parts) != 3 or not np.all(np.isfinite(parts)):
-        raise CliError(f"--start must be 'x,y' or 'x,y,theta' with finite "
-                       f"numbers, not {start!r}")
+        raise ValueError(f"--start must be 'x,y' or 'x,y,theta' with finite "
+                         f"numbers, not {start!r}")
     return Pose(0.0, parts[0], parts[1], parts[2])
 
 
@@ -143,14 +128,14 @@ def _load_model(path) -> tuple[dict, ModelConfig]:
     the ones the config builds."""
     weights, meta = load_weights(path)
     if "model_config" not in meta:
-        raise CliError(f"{path}: no model_config in the weights metadata")
+        raise ValueError(f"{path}: no model_config in the weights metadata")
     config = _config_from_dict(meta["model_config"], path)
     want = {k: v.data.shape for k, v in init_weights(config, 0).items()}
     have = {k: v.shape for k, v in weights.items()}
     if have != want:
         k = min(k for k in want.keys() | have.keys() if want.get(k) != have.get(k))
-        raise CliError(f"{path}: layer {k} is {have.get(k, 'missing')} in the file "
-                       f"but {want.get(k, 'absent')} in its model_config")
+        raise ValueError(f"{path}: layer {k} is {have.get(k, 'missing')} in the file "
+                         f"but {want.get(k, 'absent')} in its model_config")
     return weights, config
 
 
@@ -158,8 +143,8 @@ def _load_model(path) -> tuple[dict, ModelConfig]:
 
 def cmd_simulate(args) -> int:
     if args.n_trajs < 1:
-        raise CliError(f"--n-trajs must be >= 1, not {args.n_trajs}")
-    occ = _load_map(args)
+        raise ValueError(f"--n-trajs must be >= 1, not {args.n_trajs}")
+    occ = load_map(args.map, args.map_meta)
     out_dir = Path(args.out)
     t0 = time.perf_counter()
     noise = getattr(NoiseProfile, args.profile)()
@@ -181,21 +166,24 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    occ = _load_map(args)
-    config = _model_config(args)
+    occ = load_map(args.map, args.map_meta)
+    config = ModelConfig()
+    if args.config:
+        path = Path(args.config)
+        config = _config_from_dict(_read_json_object(path, "model config"), path)
     traj_dir = Path(args.traj_dir)
     gt_files = sorted(traj_dir.glob("gt_*.csv"))
     if not gt_files:
-        raise CliError(f"no gt_*.csv files in {traj_dir}")
+        raise ValueError(f"no gt_*.csv files in {traj_dir}")
     trajectories = [read_trajectory_csv(f) for f in gt_files]
     for f, traj in zip(gt_files, trajectories):
         if len(traj) < config.window_len:
-            raise CliError(f"{f}: {len(traj)} samples, fewer than the config's "
-                           f"window_len ({config.window_len})")
+            raise ValueError(f"{f}: {len(traj)} samples, fewer than the config's "
+                             f"window_len ({config.window_len})")
         try:
             require_1hz(traj)
         except ValueError as exc:
-            raise CliError(f"{f}: {exc}") from None
+            raise ValueError(f"{f}: {exc}") from None
     t0 = time.perf_counter()
     noise = getattr(NoiseProfile, args.profile)()
     dataset = build_training_set(occ, trajectories, config, noise,
@@ -220,7 +208,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    occ = _load_map(args)
+    occ = load_map(args.map, args.map_meta)
     odom = read_odometry_csv(args.odom)
     gt = read_trajectory_csv(args.gt) if args.gt else None
     start = _parse_start(args.start, gt)
@@ -231,7 +219,7 @@ def cmd_localize(args) -> int:
         est = dead_reckoning(odom, start)
     elif args.method == "pdr":
         if gt is None:
-            raise CliError("method pdr needs --gt to synthesize step events")
+            raise ValueError("method pdr needs --gt to synthesize step events")
         times, headings = baselines.synthesize_steps(
             gt, heading_bias_per_step=args.pdr_heading_bias,
             heading_noise_sigma=args.pdr_heading_noise, seed=args.seed)
@@ -247,7 +235,7 @@ def cmd_localize(args) -> int:
         prior, weights, mcfg = "heuristic", None, None
         if args.method == "ours":
             if not args.weights:
-                raise CliError("method ours needs --weights")
+                raise ValueError("method ours needs --weights")
             prior, (weights, mcfg) = "learned", _load_model(args.weights)
         run = run_filter(odom, occ, prior, fc, args.seed, start,
                          weights=weights, model_config=mcfg)
@@ -277,7 +265,7 @@ def cmd_eval(args) -> int:
     est_files = sorted(est_dir.glob("*.csv"))
     est_files = [f for f in est_files if not f.name.endswith(".log.csv")]
     if not est_files:
-        raise CliError(f"no estimate CSVs in {est_dir}")
+        raise ValueError(f"no estimate CSVs in {est_dir}")
     pairs = []
     unmatched = []
     for f in est_files:
@@ -291,7 +279,7 @@ def cmd_eval(args) -> int:
         else:
             pairs.append((f, gt_path))
     if unmatched:
-        raise CliError(f"no ground-truth match for: {', '.join(unmatched)}")
+        raise ValueError(f"no ground-truth match for: {', '.join(unmatched)}")
 
     per_traj = []
     all_errors = []
@@ -301,14 +289,14 @@ def cmd_eval(args) -> int:
         try:
             err = metrics.trajectory_error(est, gt)
         except ValueError as exc:
-            raise CliError(f"{est_path} vs {gt_path}: {exc}") from None
+            raise ValueError(f"{est_path} vs {gt_path}: {exc}") from None
         manifest_path = est_path.parent / (est_path.name + ".manifest.json")
         method, seed = None, None
         if manifest_path.exists():
             m = _read_json_object(manifest_path, "manifest")
             run_args = m.get("args", {})
             if not isinstance(run_args, dict):
-                raise CliError(f"{manifest_path}: manifest args is not a JSON object")
+                raise ValueError(f"{manifest_path}: manifest args is not a JSON object")
             method, seed = run_args.get("method"), run_args.get("seed")
         per_traj.append({
             "method": method, "map": str(args.map) if args.map else None,
@@ -401,9 +389,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "seed", 0) < 0:
-            raise CliError(f"--seed must be >= 0, not {args.seed}")
+            raise ValueError(f"--seed must be >= 0, not {args.seed}")
         return args.fn(args)
-    except (CliError, MapError, ValueError, OSError, KeyError) as exc:
+    # Bad input raises ValueError (MapError and WeightsFormatError are ones)
+    # or OSError; TrainingDiverged means the config trains to a non-finite loss.
+    except (ValueError, OSError, TrainingDiverged) as exc:
         msg = str(exc).replace("\n", " ")
         print(f"error: {msg}", file=sys.stderr)
         return 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -107,30 +108,14 @@ def crop(parent: OccupancyMap, center_cell, size_cells: int) -> OccupancyMap:
     return OccupancyMap(sub, parent.resolution, origin)
 
 
-def _read_pgm_tokens(raw: bytes, count: int) -> tuple[list[bytes], int]:
-    """First `count` whitespace-separated header tokens, skipping # comments.
-
-    Returns the tokens and the offset just past the single whitespace byte
-    that terminates the last token.
-    """
-    tokens: list[bytes] = []
-    i = 0
-    n = len(raw)
-    while len(tokens) < count:
-        while i < n and raw[i : i + 1].isspace():
-            i += 1
-        if i < n and raw[i : i + 1] == b"#":
-            while i < n and raw[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-            continue
-        start = i
-        while i < n and not raw[i : i + 1].isspace():
-            i += 1
-        if start == i:
-            raise MapError("truncated PGM header")
-        tokens.append(raw[start:i])
-        i += 1  # consume exactly one whitespace byte after the token
-    return tokens, i
+# A P5 header (https://netpbm.sourceforge.net/doc/pgm.html): the magic, then
+# width, height and maxval, each after a whitespace run that may hold `#`
+# comments, then one whitespace byte before the pixels.  A comment runs to the
+# end of its line; the lookahead stands in for a possessive quantifier (Python
+# 3.10 has none) so that no comment is split into a token.  Whitespace is
+# matched as `\s+` and `\s*`, which take no backtracking stack per byte.
+_PGM_HEADER = re.compile(
+    rb"P5\S*" + 3 * rb"\s+(?:#[^\n\r]*(?![^\n\r])\s*)*([^\s#]\S*)" + rb"\s?")
 
 
 def load_map(pgm_path, meta_path=None) -> OccupancyMap:
@@ -147,19 +132,17 @@ def load_map(pgm_path, meta_path=None) -> OccupancyMap:
     raw = pgm_path.read_bytes()
     if not raw.startswith(b"P5"):
         raise MapError(f"{pgm_path}: not a binary (P5) PGM")
-    try:
-        tokens, offset = _read_pgm_tokens(raw, 4)
-    except MapError as exc:
-        raise MapError(f"{pgm_path}: {exc}") from None
-    try:
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError:
-        raise MapError(f"{pgm_path}: non-numeric PGM header fields") from None
+    header = _PGM_HEADER.match(raw)
+    if header is None:
+        raise MapError(f"{pgm_path}: truncated PGM header")
+    if not all(field.isdigit() for field in header.groups()):
+        raise MapError(f"{pgm_path}: non-numeric PGM header fields")
+    width, height, maxval = map(int, header.groups())
     if width < 1 or height < 1:
         raise MapError(f"{pgm_path}: invalid dimensions {width}x{height}")
     if not 0 < maxval <= 255:
         raise MapError(f"{pgm_path}: unsupported maxval {maxval} (need 1..255)")
-    payload = raw[offset:]
+    payload = raw[header.end():]
     if len(payload) != width * height:
         raise MapError(
             f"{pgm_path}: payload has {len(payload)} bytes, header implies {width * height}"

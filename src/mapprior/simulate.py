@@ -116,14 +116,12 @@ class NoiseProfile:
             raise ValueError("noise sigmas must be >= 0")
 
     @classmethod
-    def pedestrian(cls, **kw) -> "NoiseProfile":
-        return cls(**kw)
+    def pedestrian(cls) -> "NoiseProfile":
+        return cls()
 
     @classmethod
-    def wheeled(cls, **kw) -> "NoiseProfile":
-        kw.setdefault("heading_drift_sigma", 0.005)
-        kw.setdefault("bias_window_s", 20.0)
-        return cls(**kw)
+    def wheeled(cls) -> "NoiseProfile":
+        return cls(heading_drift_sigma=0.005, bias_window_s=20.0)
 
     @classmethod
     def noiseless(cls) -> "NoiseProfile":

@@ -525,6 +525,20 @@ class TestMalformedInputs:
         assert "gt_000.csv: 4 samples" in err and "window_len (5)" in err
         assert not (tmp_path / "w.lmw").exists()
 
+    def test_diverging_training_exits_2(self, tmp_path, map_path, sim_dir,
+                                        capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"channels": 4, "unet_depth": 2,
+                                   "base_width": 2, "crop_size": 8,
+                                   "epochs": 1, "learning_rate": 1e30,
+                                   "max_grad_norm": 0}))
+        with pytest.warns(RuntimeWarning):
+            err = cli_error(capsys, "train", "--map", map_path, "--traj-dir",
+                            sim_dir, "--config", cfg, "--out", tmp_path / "w.lmw")
+        assert err == ("error: loss became non-finite at epoch 1 "
+                       "(lr=1e+30, batch=32)\n")
+        assert not (tmp_path / "w.lmw").exists()
+
     @pytest.mark.parametrize("command, extra", [
         ("simulate", []),
         ("train", ["--traj-dir", "."]),

@@ -1,9 +1,10 @@
 import json
+import random
 
 import numpy as np
 import pytest
 
-from mapprior import synthmaps
+from mapprior import occupancy, synthmaps
 from mapprior.occupancy import (MapError, OccupancyMap, crop, load_map,
                                 save_map, segment_hits_obstacle,
                                 segments_hit_obstacles)
@@ -81,6 +82,117 @@ class TestLoadMap:
         loaded = load_map(p)
         assert np.array_equal(loaded.free, rooms_map.free)
         assert loaded.resolution == rooms_map.resolution
+
+    @pytest.mark.parametrize("header", [
+        b"P5#c\n2 2 255\n",  # the magic may run on; this '#' is not a comment
+        b"P5\n#c 2 2 255\n2\r\n#c\r2\t#c\n#c\n255\x0b",
+        b"P5\x0c2\x0b\x0b2 #c\r\n\t255\r",
+    ])
+    def test_header_whitespace_and_comment_spellings(self, tmp_path, header):
+        p = tmp_path / "m.pgm"
+        write_pgm(p, 2, 2, [])
+        p.write_bytes(header + bytes([255, 0, 0, 255]))
+        assert load_map(p).free.tolist() == [[True, False], [False, True]]
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"P5", "truncated PGM header"),
+        (b"P5 2 2", "truncated PGM header"),
+        (b"P5 2 2 #255\n", "truncated PGM header"),
+        (b"P5 2 2\n#c 255", "truncated PGM header"),
+        (b"P5\n\n2\n\n2\n\n", "truncated PGM header"),
+        (b"P5 1_2 2 255\n", "non-numeric PGM header fields"),
+        (b"P5 +12 2 255\n", "non-numeric PGM header fields"),
+        (b"P5 12 2 2_55\n", "non-numeric PGM header fields"),
+        (b"P5 12 -2 255\n", "non-numeric PGM header fields"),
+        (b"P5 12 2 0x9\n", "non-numeric PGM header fields"),
+        (b"P5 12#c 2 255\n", "non-numeric PGM header fields"),
+        ("P5 12 2 ２５５\n".encode(), "non-numeric PGM header fields"),
+        # One whitespace byte ends the header, so this comment is pixels.
+        (b"P5 2 2 255 #c\n" + bytes(4), "payload has 7 bytes, header implies 4"),
+    ])
+    def test_malformed_header_rejected(self, tmp_path, raw, message):
+        p = tmp_path / "m.pgm"
+        p.write_bytes(raw)
+        with pytest.raises(MapError, match=message):
+            load_map(p)
+
+
+def read_pgm_tokens(raw: bytes, count: int) -> tuple[list[bytes], int]:
+    """First `count` whitespace-separated header tokens, skipping # comments.
+
+    A byte-by-byte tokenizer, the oracle of `occupancy._PGM_HEADER`.  Returns the tokens and the offset just past the single
+    whitespace byte that terminates the last token; raises MapError when the
+    header ends before `count` tokens.
+    """
+    tokens: list[bytes] = []
+    i = 0
+    n = len(raw)
+    while len(tokens) < count:
+        while i < n and raw[i : i + 1].isspace():
+            i += 1
+        if i < n and raw[i : i + 1] == b"#":
+            while i < n and raw[i : i + 1] not in (b"\n", b"\r"):
+                i += 1
+            continue
+        start = i
+        while i < n and not raw[i : i + 1].isspace():
+            i += 1
+        if start == i:
+            raise MapError("truncated PGM header")
+        tokens.append(raw[start:i])
+        i += 1  # consume exactly one whitespace byte after the token
+    return tokens, i
+
+
+def random_headers(seed: int, count: int):
+    r"""Seeded P5 headers mixing the six whitespace bytes, comments (ended by
+    \n, \r or the end of the file, holding spaces, '#' and would-be tokens),
+    '#' inside tokens, \x00 and \xff, signs and underscores, missing
+    separators, and truncation at any byte."""
+    rng = random.Random(seed)
+    spaces = b" \t\n\r\x0b\x0c"
+    token_bytes = b"0123456789" * 3 + b"#_+-aP\x00\xff"
+    comment_bytes = token_bytes + b" \t\x0b\x0c#"
+
+    def pick(pool, lo, hi):
+        return bytes(rng.choices(pool, k=rng.randint(lo, hi)))
+
+    def separator():
+        parts = [b"#" + pick(comment_bytes, 0, 5) + pick(b"\n\r", 1, 1)
+                 if rng.random() < 0.4 else pick(spaces, 1, 2)
+                 for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.05:
+            parts.append(b"#" + pick(comment_bytes, 0, 5))  # runs to the end
+        return b"".join(parts)
+
+    for _ in range(count):
+        raw = b"P5" + (pick(token_bytes, 1, 2) if rng.random() < 0.1 else b"")
+        for _ in range(3):
+            raw += separator() + pick(token_bytes, 1, 4)
+        raw += separator() + pick(spaces + token_bytes, 0, 3)
+        if rng.random() < 0.3:
+            raw = raw[: rng.randint(2, len(raw))]
+        yield raw
+
+
+def test_pgm_header_pattern_matches_tokenizer_oracle():
+    seen = {"truncated": 0, "parsed": 0, "at_eof": 0}
+    for raw in random_headers(seed=15, count=100_000):
+        match = occupancy._PGM_HEADER.match(raw)
+        try:
+            tokens, offset = read_pgm_tokens(raw, 4)
+        except MapError:
+            assert match is None, raw
+            seen["truncated"] += 1
+            continue
+        assert match is not None, raw
+        assert list(match.groups()) == tokens[1:], raw
+        # At the end of the file the tokenizer steps one byte past it; both
+        # leave an empty payload.
+        assert match.end() == min(offset, len(raw)), raw
+        seen["parsed"] += 1
+        seen["at_eof"] += offset > len(raw)
+    assert min(seen.values()) > 1000, seen
 
 
 class TestIsFree:

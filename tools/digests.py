@@ -226,6 +226,39 @@ def files(out: dict, occ, tmp: Path) -> None:
             out.setdefault(f"file:{rel}", digest(path.read_bytes()))
 
 
+def map_headers(out: dict) -> None:
+    r"""load_map over fixed P5 header spellings: comments between every token,
+    CRLF, tabs, \x0b and \x0c, maxvals other than 255, a comment where the
+    pixels start (read as pixels) and truncation.  An error counts as its
+    message."""
+    spellings = [
+        b"P5\n3 2\n255\n",
+        b"P5 #a\n3 #b\r2 #c\r\n#d\n255\n",
+        b"P5\n# 1 2 3\n3\n#\n2 # 4\r\n#5\r200\r",
+        b"P5\r\n3\r\n2\r\n255\r\n",
+        b"P5\t3\t2\t201\t",
+        b"P5\x0b3\x0c2\x0b\x0c255\x0c",
+        b"P5 3 2 255 #c\n",
+        b"P5 3 2 #c 255\n201\n",
+        b"P5 3 2",
+        b"P5 3 2 #c 255",
+    ]
+    pixels = bytes([200, 0, 101, 100, 1, 150])
+    found = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.pgm"
+        path.with_suffix(".json").write_text(json.dumps(
+            {"resolution_m_per_px": 0.5, "origin_x_m": -1.0, "origin_y_m": 2.0}))
+        for header in spellings:
+            path.write_bytes(header + pixels)
+            try:
+                occ = occupancy.load_map(path)
+                found.append([occ.free, occ.resolution, occ.origin])
+            except occupancy.MapError as exc:
+                found.append(str(exc).replace(str(path), "m.pgm"))
+    out["occupancy.load_map"] = digest(found)
+
+
 def main() -> int:
     out: dict = {}
     occ = synthmaps.corridor_rooms()
@@ -238,6 +271,7 @@ def main() -> int:
     comparisons(out, occ, found)
     with tempfile.TemporaryDirectory() as tmp:
         files(out, occ, Path(tmp))
+    map_headers(out)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0
