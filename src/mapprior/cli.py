@@ -72,7 +72,7 @@ def _write_manifest(path: Path, args: argparse.Namespace, outputs: list[str],
 def _read_json_object(path: Path, what: str) -> dict:
     try:
         obj = json.loads(path.read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         raise ValueError(f"{path}: {what} is not valid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: {what} is not a JSON object")

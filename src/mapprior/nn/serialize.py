@@ -62,7 +62,7 @@ def load_weights(path) -> tuple[dict[str, np.ndarray], dict]:
             f"{path}: header length {header_len} runs past the end of the file")
     try:
         header = json.loads(raw[12 : 12 + header_len].decode())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         raise WeightsFormatError(f"{path}: unreadable header: {exc}") from None
     if not isinstance(header, dict):
         raise WeightsFormatError(f"{path}: header is not a JSON object")

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -124,7 +126,7 @@ def load_map(pgm_path, meta_path=None) -> OccupancyMap:
     A pixel brighter than half of maxval (2 * pixel > maxval, i.e. pixel >= 128
     at maxval 255) is free, the rest occupied; a pixel above maxval is an
     error.  The sidecar is a JSON object giving resolution_m_per_px and the
-    world origin of pixel (0, 0) as numbers.
+    world origin of pixel (0, 0) as finite numbers.
     """
     pgm_path = Path(pgm_path)
     if meta_path is None:
@@ -153,7 +155,7 @@ def load_map(pgm_path, meta_path=None) -> OccupancyMap:
 
     try:
         meta = json.loads(Path(meta_path).read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         raise MapError(f"{meta_path}: sidecar is not valid JSON ({exc})") from None
     if not isinstance(meta, dict):
         raise MapError(f"{meta_path}: sidecar is not a JSON object")
@@ -163,6 +165,8 @@ def load_map(pgm_path, meta_path=None) -> OccupancyMap:
             raise MapError(f"{meta_path}: missing sidecar key '{key}'")
         if isinstance(meta[key], bool) or not isinstance(meta[key], (int, float)):
             raise MapError(f"{meta_path}: sidecar {key} is not a number")
+        if not abs(meta[key]) <= sys.float_info.max:  # NaN, inf, 1e400, 10**400
+            raise MapError(f"{meta_path}: sidecar {key} is not a finite number")
     resolution, ox, oy = (float(meta[k]) for k in keys)
     if not resolution > 0:
         raise MapError(f"{meta_path}: nonpositive resolution {resolution}")
@@ -191,28 +195,30 @@ def segment_hits_obstacle(occ: OccupancyMap, p0, p1) -> bool:
     cells outside the grid count as occupied.  For callers that test one
     segment at a time; `segments_hit_obstacles` is the batched form.
     """
+    free = occ.free
+    h, w = free.shape
     x0 = (float(p0[0]) - occ.origin[0]) / occ.resolution
     y0 = (float(p0[1]) - occ.origin[1]) / occ.resolution
     x1 = (float(p1[0]) - occ.origin[0]) / occ.resolution
     y1 = (float(p1[1]) - occ.origin[1]) / occ.resolution
-    ix, iy = int(np.floor(x0)), int(np.floor(y0))
-    ix1, iy1 = int(np.floor(x1)), int(np.floor(y1))
-    if not occ.is_free_cell(ix, iy):
+    ix, iy = math.floor(x0), math.floor(y0)
+    ix1, iy1 = math.floor(x1), math.floor(y1)
+    if not (0 <= ix < w and 0 <= iy < h and free[iy, ix]):
         return True
     dx, dy = x1 - x0, y1 - y0
     step_x = 1 if dx > 0 else -1
     step_y = 1 if dy > 0 else -1
-    t_max_x = ((ix + (step_x > 0)) - x0) / dx if dx != 0 else np.inf
-    t_max_y = ((iy + (step_y > 0)) - y0) / dy if dy != 0 else np.inf
-    t_delta_x = abs(1.0 / dx) if dx != 0 else np.inf
-    t_delta_y = abs(1.0 / dy) if dy != 0 else np.inf
+    t_max_x = ((ix + (step_x > 0)) - x0) / dx if dx != 0 else math.inf
+    t_max_y = ((iy + (step_y > 0)) - y0) / dy if dy != 0 else math.inf
+    t_delta_x = abs(1.0 / dx) if dx != 0 else math.inf
+    t_delta_y = abs(1.0 / dy) if dy != 0 else math.inf
     # Bounded by the Manhattan cell distance; guards against float stalls.
     for _ in range(abs(ix1 - ix) + abs(iy1 - iy)):
         if abs(t_max_x - t_max_y) < 1e-12:
             # Exact corner crossing: conservatively check both side cells so
             # the result is independent of traversal direction.
-            if not (occ.is_free_cell(ix + step_x, iy)
-                    and occ.is_free_cell(ix, iy + step_y)):
+            if not (0 <= ix + step_x < w and free[iy, ix + step_x]
+                    and 0 <= iy + step_y < h and free[iy + step_y, ix]):
                 return True
             ix += step_x
             iy += step_y
@@ -224,7 +230,7 @@ def segment_hits_obstacle(occ: OccupancyMap, p0, p1) -> bool:
         else:
             iy += step_y
             t_max_y += t_delta_y
-        if not occ.is_free_cell(ix, iy):
+        if not (0 <= ix < w and 0 <= iy < h and free[iy, ix]):
             return True
         if ix == ix1 and iy == iy1:
             break

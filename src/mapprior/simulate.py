@@ -148,48 +148,55 @@ _SQRT2 = float(np.sqrt(2.0))
 
 
 def _astar(occ: OccupancyMap, start: tuple[int, int], goal: tuple[int, int]):
-    """Octile-heuristic A* over free cells, no diagonal corner cutting."""
+    """Octile-heuristic A* over free cells, no diagonal corner cutting.
+
+    Cells are flat ints k = (x+1)*(h+2) + (y+1) on the grid with a one-cell
+    occupied border, so a neighbour needs no bounds test.  k orders cells as
+    (x, y) tuples do, so heap ties on (f, g, cell) break as on tuples.  A
+    start or goal outside the grid has no path (unless they are equal).
+    """
     if start == goal:
         return [start]
     w, h = occ.width, occ.height
-    free = occ.free
-
-    def heuristic(c):
-        dx, dy = abs(c[0] - goal[0]), abs(c[1] - goal[1])
-        return (dx + dy) + (_SQRT2 - 2.0) * min(dx, dy)
-
-    open_heap = [(heuristic(start), 0.0, start)]
-    g_cost = {start: 0.0}
-    came: dict[tuple[int, int], tuple[int, int]] = {}
-    closed = set()
+    if not (0 <= start[0] < w and 0 <= start[1] < h
+            and 0 <= goal[0] < w and 0 <= goal[1] < h):
+        return None
+    rows = h + 2
+    free = np.pad(occ.free.T, 1).ravel().tolist()
+    dx = np.abs(np.arange(-1, w + 1) - goal[0])[:, None]
+    dy = np.abs(np.arange(-1, h + 1) - goal[1])[None, :]
+    heuristic = ((dx + dy) + (_SQRT2 - 2.0) * np.minimum(dx, dy)).ravel().tolist()
+    # (offset, step cost, offsets of the two cells a diagonal passes between);
+    # a straight move names its own cell twice, which is free when it is tried.
+    moves = [(mx * rows + my, _SQRT2, mx * rows, my) if mx and my else
+             (mx * rows + my, 1.0, mx * rows + my, mx * rows + my)
+             for mx in (-1, 0, 1) for my in (-1, 0, 1) if mx or my]
+    src = (start[0] + 1) * rows + start[1] + 1
+    dst = (goal[0] + 1) * rows + goal[1] + 1
+    open_heap = [(heuristic[src], 0.0, src)]
+    g_cost = [np.inf] * len(free)
+    g_cost[src] = 0.0
+    came = {}
+    closed = bytearray(len(free))
     while open_heap:
         _, g, cur = heapq.heappop(open_heap)
-        if cur == goal:
+        if cur == dst:
             path = [cur]
             while cur in came:
                 cur = came[cur]
                 path.append(cur)
-            return path[::-1]
-        if cur in closed:
+            return [(k // rows - 1, k % rows - 1) for k in reversed(path)]
+        if closed[cur]:
             continue
-        closed.add(cur)
-        cx, cy = cur
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                nx, ny = cx + dx, cy + dy
-                if not (0 <= nx < w and 0 <= ny < h) or not free[ny, nx]:
-                    continue
-                if dx != 0 and dy != 0 and not (free[cy, nx] and free[ny, cx]):
-                    continue  # would cut a corner
-                step = _SQRT2 if dx != 0 and dy != 0 else 1.0
+        closed[cur] = 1
+        for off, step, side_a, side_b in moves:
+            nxt = cur + off
+            if free[nxt] and free[cur + side_a] and free[cur + side_b]:
                 ng = g + step
-                nxt = (nx, ny)
-                if ng < g_cost.get(nxt, np.inf):
+                if ng < g_cost[nxt]:
                     g_cost[nxt] = ng
                     came[nxt] = cur
-                    heapq.heappush(open_heap, (ng + heuristic(nxt), ng, nxt))
+                    heapq.heappush(open_heap, (ng + heuristic[nxt], ng, nxt))
     return None
 
 
@@ -317,15 +324,15 @@ def generate_trajectory(occ: OccupancyMap, seed: int, duration_s: float,
         err = float(wrap_angle(desired - theta))
         # Humans reorient quickly; a wheeled base turns slowly.
         max_turn = (8.0 if profile == "pedestrian" else 1.5) * SIM_DT
-        dth = float(np.clip(err, -max_turn, max_turn))
+        dth = min(max(err, -max_turn), max_turn)
         if profile == "pedestrian":
             theta = float(wrap_angle(theta + dth))
-            step_v = speed * float(np.clip(np.cos(err), 0.15, 1.0))
+            step_v = speed * float(min(max(np.cos(err), 0.15), 1.0))
             step_v = min(step_v, dist / SIM_DT)
             step = np.array([np.cos(theta), np.sin(theta)]) * step_v * SIM_DT
             new_pos = pos + step
         else:
-            slow = float(np.clip(np.cos(err), 0.0, 1.0))
+            slow = float(min(max(np.cos(err), 0.0), 1.0))
             ds = min(speed * slow * SIM_DT, dist)
             n_total = ds / (np.pi * WHEEL_RADIUS)
             nx, ny, theta = diff_drive_step(pos[0], pos[1], theta,
@@ -440,19 +447,23 @@ def _write_csv(path, header: list[str], t, vec, ang) -> None:
 def _read_csv(path, cls, expected_header: list[str]):
     """A Trajectory or Odometry from a CSV of the given header; malformed rows
     and arrays the class rejects raise ValueError naming the file."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected_header:
-            raise ValueError(f"{path}: expected header {expected_header}, got {header}")
-        rows = []
-        for row in filter(None, reader):
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} fields, header has {len(header)}")
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header != expected_header:
+        raise ValueError(f"{path}: expected header {expected_header}, got {header}")
+    rows = []
+    for row in filter(None, reader):
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, header has {len(header)}")
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     rows = np.asarray(rows, dtype=np.float64)

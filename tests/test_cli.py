@@ -280,6 +280,9 @@ def cli_error(capsys, *argv) -> str:
     return err
 
 
+DEEP_JSON = "[" * 100_000  # past the json module's recursion limit
+
+
 def as_json(value) -> str:
     """A string is written as it is, so a case can give text that is not JSON."""
     return value if isinstance(value, str) else json.dumps(value)
@@ -306,6 +309,13 @@ class TestMalformedInputs:
         err = localize_error(tmp_path, map_path, odom, capsys,
                              "--method", "heuristic")
         assert "odom.csv" in err and message in err
+
+    def test_odometry_csv_not_utf8_names_file(self, tmp_path, map_path, capsys):
+        odom = tmp_path / "bin.csv"
+        odom.write_bytes(b"t,dx,dy,dtheta\n\xff\xfe1,0.5,0,0\n")
+        err = localize_error(tmp_path, map_path, odom, capsys,
+                             "--method", "heuristic")
+        assert "bin.csv: 'utf-8' codec can't decode byte 0xff" in err
 
     def test_odometry_rate_other_than_filter_rate_exits_2(self, tmp_path,
                                                           map_path, capsys):
@@ -356,11 +366,26 @@ class TestMalformedInputs:
                              capsys, "--method", "ours", "--weights", weights)
         assert "w.lmw: header" in err
 
+    def test_deeply_nested_weights_header_exits_2(self, tmp_path, map_path,
+                                                  sim_dir, capsys):
+        raw = DEEP_JSON.encode()
+        weights = tmp_path / "w.lmw"
+        weights.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw)
+        err = localize_error(tmp_path, map_path, sim_dir / "odom_000.csv",
+                             capsys, "--method", "ours", "--weights", weights)
+        assert "w.lmw: unreadable header: maximum recursion depth" in err
+
     @pytest.mark.parametrize("sidecar, message", [
         ([], "sidecar is not a JSON object"),
         ({"resolution_m_per_px": None, "origin_x_m": 0.0, "origin_y_m": 0.0},
          "sidecar resolution_m_per_px is not a number"),
         ("{oops", "sidecar is not valid JSON"),
+        pytest.param(DEEP_JSON, "sidecar is not valid JSON (maximum recursion",
+                     id="deeply-nested"),
+        ('{"resolution_m_per_px": 1e400, "origin_x_m": 0, "origin_y_m": 0}',
+         "sidecar resolution_m_per_px is not a finite number"),
+        ('{"resolution_m_per_px": 0.5, "origin_x_m": NaN, "origin_y_m": 0}',
+         "sidecar origin_x_m is not a finite number"),
     ])
     def test_malformed_map_sidecar_exits_2(self, tmp_path, map_path, capsys,
                                            sidecar, message):
@@ -386,6 +411,8 @@ class TestMalformedInputs:
         ({"val_fraction": -1},
          "config.json: config val_fraction must be in [0, 1), not -1"),
         ({"crop_size": 0}, "config.json: config crop_size must be >= 1, not 0"),
+        pytest.param(DEEP_JSON, "config.json: model config is not valid JSON "
+                     "(maximum recursion", id="deeply-nested"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, map_path, sim_dir,
                                       capsys, config, message):
@@ -400,6 +427,8 @@ class TestMalformedInputs:
         ([], "manifest is not a JSON object"),
         ({"args": []}, "manifest args is not a JSON object"),
         ("{oops", "manifest is not valid JSON"),
+        pytest.param(DEEP_JSON, "manifest is not valid JSON (maximum recursion",
+                     id="deeply-nested"),
     ])
     def test_malformed_estimate_manifest_exits_2(self, tmp_path, sim_dir,
                                                  capsys, manifest, message):

@@ -67,6 +67,22 @@ class TestLoadMap:
         with pytest.raises(MapError, match="resolution"):
             load_map(p)
 
+    @pytest.mark.parametrize("key", ["resolution_m_per_px", "origin_x_m",
+                                     "origin_y_m"])
+    @pytest.mark.parametrize("value", ["1e400", "-1e400", "NaN", "Infinity",
+                                       "-Infinity", "1" + "0" * 400],
+                             ids=["1e400", "-1e400", "NaN", "Infinity",
+                                  "-Infinity", "int-1e400"])
+    def test_non_finite_sidecar_number_rejected(self, tmp_path, key, value):
+        p = tmp_path / "m.pgm"
+        write_pgm(p, 2, 2, [255] * 4)
+        meta = {"resolution_m_per_px": "0.5", "origin_x_m": "0", "origin_y_m": "0"}
+        meta[key] = value
+        p.with_suffix(".json").write_text(
+            "{" + ", ".join(f'"{k}": {v}' for k, v in meta.items()) + "}")
+        with pytest.raises(MapError, match=rf"m\.json: sidecar {key} is not a finite"):
+            load_map(p)
+
     def test_header_comments_ok(self, tmp_path):
         p = tmp_path / "m.pgm"
         p.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([255, 0, 255, 0]))

@@ -1,4 +1,5 @@
 import csv
+import heapq
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from scipy import ndimage
 from mapprior import synthmaps
 from mapprior.occupancy import OccupancyMap
 from mapprior.simulate import (NoiseProfile, Odometry, Trajectory,
-                               _planning_map, _write_csv, corrupt_to_odometry,
+                               _astar, _planning_map, _write_csv, corrupt_to_odometry,
                                dead_reckoning, diff_drive_step,
                                generate_trajectory, integrate_odometry,
                                read_odometry_csv, read_trajectory_csv, window,
@@ -118,6 +119,128 @@ class TestPlanningMap:
         occ = OccupancyMap(free, 0.25)
         assert not scipy_erosion(free).any()
         assert _planning_map(occ) is occ
+
+
+def astar_oracle(occ, start, goal):
+    """The tuple-keyed A* that `_astar` replaced: octile heuristic, no
+    diagonal corner cutting, heap ties broken on (x, y) tuples."""
+    if start == goal:
+        return [start]
+    w, h = occ.width, occ.height
+    free = occ.free
+    sqrt2 = float(np.sqrt(2.0))
+
+    def heuristic(c):
+        dx, dy = abs(c[0] - goal[0]), abs(c[1] - goal[1])
+        return (dx + dy) + (sqrt2 - 2.0) * min(dx, dy)
+
+    open_heap = [(heuristic(start), 0.0, start)]
+    g_cost = {start: 0.0}
+    came = {}
+    closed = set()
+    while open_heap:
+        _, g, cur = heapq.heappop(open_heap)
+        if cur == goal:
+            path = [cur]
+            while cur in came:
+                cur = came[cur]
+                path.append(cur)
+            return path[::-1]
+        if cur in closed:
+            continue
+        closed.add(cur)
+        cx, cy = cur
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                if dx == 0 and dy == 0:
+                    continue
+                nx, ny = cx + dx, cy + dy
+                if not (0 <= nx < w and 0 <= ny < h) or not free[ny, nx]:
+                    continue
+                if dx != 0 and dy != 0 and not (free[cy, nx] and free[ny, cx]):
+                    continue
+                step = sqrt2 if dx != 0 and dy != 0 else 1.0
+                ng = g + step
+                nxt = (nx, ny)
+                if ng < g_cost.get(nxt, np.inf):
+                    g_cost[nxt] = ng
+                    came[nxt] = cur
+                    heapq.heappush(open_heap, (ng + heuristic(nxt), ng, nxt))
+    return None
+
+
+def two_rooms():
+    """An open box split by a full-height wall: no path crosses it."""
+    occ = synthmaps.open_box(24, 16)
+    free = occ.free.copy()
+    free[:, 11] = False
+    return OccupancyMap(free, occ.resolution)
+
+
+class TestAstar:
+    LAYOUTS = {"open_box": synthmaps.open_box,
+               "corridor_rooms": synthmaps.corridor_rooms,
+               "office_floor": synthmaps.office_floor,
+               "hallway_with_rooms": synthmaps.hallway_with_rooms,
+               "two_rooms": two_rooms}
+
+    @staticmethod
+    def pairs(occ, rng, n):
+        """Seeded (start, goal) pairs: free to free, free to occupied, any
+        cell to any cell, edge cells as starts, and start == goal."""
+        h, w = occ.height, occ.width
+        cells = [tuple(int(v) for v in c) for c in occ.free_cells()]
+        walls = [(int(x), int(y)) for y, x in np.argwhere(~occ.free)]
+
+        def pick():
+            return cells[rng.integers(len(cells))]
+
+        def anywhere():
+            return int(rng.integers(w)), int(rng.integers(h))
+
+        edges = sorted({(x, y) for x in range(w) for y in (0, h - 1)}
+                       | {(x, y) for x in (0, w - 1) for y in range(h)})
+        out = [(pick(), pick()) for _ in range(n)]
+        out += [(pick(), walls[rng.integers(len(walls))]) for _ in range(n // 4)]
+        out += [(anywhere(), anywhere()) for _ in range(n // 2)]
+        out += [(anywhere(), pick()) for _ in range(n // 2)]
+        out += [(edges[i], pick()) for i in rng.choice(len(edges), n // 2)]
+        out += [(c, c) for c in (pick(), anywhere(), edges[0])]
+        return out
+
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_matches_tuple_keyed_oracle(self, name):
+        rng = np.random.default_rng(sorted(self.LAYOUTS).index(name))
+        raw = self.LAYOUTS[name]()
+        for occ in (raw, _planning_map(raw)):
+            outcomes = set()
+            for start, goal in self.pairs(occ, rng, 24):
+                got = _astar(occ, start, goal)
+                want = astar_oracle(occ, start, goal)
+                assert got == want, (name, start, goal)
+                assert got is None or all(type(v) is int for c in got for v in c)
+                outcomes.add(got is None)
+            assert outcomes == {True, False}  # some pairs have no path
+
+    def test_matches_oracle_on_scattered_pillars(self):
+        # Lone occupied cells block diagonals, so two parents can offer a
+        # cell the same cost at the same (f, g): the heap's cell order picks
+        # the path.  Keys ordered y-major instead fail here.
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            h, w = (int(v) for v in rng.integers(3, 24, 2))
+            occ = OccupancyMap(rng.random((h, w)) < rng.uniform(0.75, 1.0), 0.25)
+            for _ in range(10):
+                start = (int(rng.integers(w)), int(rng.integers(h)))
+                goal = (int(rng.integers(w)), int(rng.integers(h)))
+                assert _astar(occ, start, goal) == astar_oracle(occ, start, goal)
+
+    def test_start_or_goal_outside_grid_has_no_path(self):
+        occ = OccupancyMap(np.ones((8, 8), dtype=bool), 0.25)
+        for start, goal in (((-1, 3), (3, 3)), ((3, 3), (8, 3)),
+                            ((3, 3), (3, -1)), ((3, 9), (3, 3))):
+            assert _astar(occ, start, goal) is None
+        assert _astar(occ, (-1, 3), (-1, 3)) == [(-1, 3)]
 
 
 def test_pipeline_loads_no_scipy():

@@ -86,6 +86,19 @@ def layouts(out: dict) -> None:
         out[f"synthmaps.{name}.variants"] = digest(maps)
 
 
+def walks(out: dict) -> None:
+    """120 s walks of both profiles on every layout, which run A* and the
+    one-segment obstacle walk on each map's planning copy and raw grid."""
+    found = []
+    for name in ("open_box", "corridor_rooms", "office_floor", "hallway_with_rooms"):
+        occ = getattr(synthmaps, name)()
+        for profile in ("pedestrian", "wheeled"):
+            for seed in range(5):
+                found.append(simulate.generate_trajectory(occ, seed, 120.0,
+                                                          profile=profile))
+    out["simulate.generate_trajectory"] = digest(found)
+
+
 def streams(occ) -> dict:
     """Trajectories and odometry of both profiles on one map."""
     found = {}
@@ -263,6 +276,7 @@ def main() -> int:
     out: dict = {}
     occ = synthmaps.corridor_rooms()
     layouts(out)
+    walks(out)
     found = streams(occ)
     out["simulate.streams"] = digest(list(found.values()))
     kernels(out, occ, found)
