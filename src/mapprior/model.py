@@ -23,7 +23,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import nn
-from .nn.tensor import Tensor, backward, constant, parameter, zero_grads
+from .nn.tensor import (Tensor, backward, constant, keep_freed_memory, parameter,
+                        zero_grads)
 from .occupancy import OccupancyMap, crop
 from .simulate import PERIOD_ATOL, NoiseProfile, Trajectory, window
 # make_target stays importable from here: perfbench traces model.make_target.
@@ -345,6 +346,7 @@ def train(dataset: list[TrainingSample], config: ModelConfig,
     train_data = _stack(train_set)
     val_data = _stack(val_set)
 
+    keep_freed_memory()
     opt = nn.AdamState(lr=config.learning_rate)
     history: list[tuple[int, float, float]] = []
     t0 = _eval_loss(params, config, train_data, config.batch_size)

@@ -188,9 +188,10 @@ def maxpool2(x: Tensor) -> Tensor:
     idx = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
 
+    # The closure keeps the argmax indices, not the copy of x in flat.
     def back(g):
         if x.requires_grad:
-            dflat = np.zeros_like(flat)
+            dflat = np.zeros(idx.shape + (4,), dtype=x.data.dtype)
             np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
             dx = dflat.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
             x.accumulate(dx.reshape(n, c, h, w))

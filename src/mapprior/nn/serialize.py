@@ -3,6 +3,7 @@
 Layout: 8-byte magic, uint32 little-endian header length, UTF-8 JSON header
 {"format_version", "layers": [{"name", "shape"}...], "meta": {...}}, then the
 raw float32 data of every layer in listed order.  Round trips are bit-exact.
+Loading rejects a layer with a non-finite value.
 """
 
 from __future__ import annotations
@@ -84,6 +85,9 @@ def load_weights(path) -> tuple[dict[str, np.ndarray], dict]:
         if end > len(raw):
             raise WeightsFormatError(f"{path}: truncated blob at layer {layer['name']}")
         arr = np.frombuffer(raw[offset:end], dtype="<f4").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise WeightsFormatError(
+                f"{path}: layer {layer['name']} has non-finite values")
         params[layer["name"]] = arr.astype(np.float32)
         offset = end
     if offset != len(raw):

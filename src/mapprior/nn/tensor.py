@@ -3,9 +3,16 @@
 Every op builds a node recording its parents and a closure that routes the
 output gradient back to them.  Graphs are built only when some input requires
 gradients, so inference runs allocation-light.
+
+A graph can be backpropagated once: `backward` releases it as it walks it,
+so interior gradients, closure temporaries and activations are freed as soon
+as their last reader has run.  Leaves keep their gradients and the root keeps
+its data.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
@@ -65,6 +72,9 @@ def topo_order(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in visited:
             continue
+        if node._parents is None:
+            raise ValueError("graph already released by an earlier backward; "
+                             "rebuild it to backpropagate again")
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -74,15 +84,40 @@ def topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every tensor the scalar loss depends on."""
+    """Populate .grad on every leaf the scalar loss depends on.
+
+    Once a node popped off the reverse topological order has handed its
+    gradient to its parents, its grad, closure and parents are dropped;
+    parents None marks it released."""
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise ValueError("loss does not depend on any parameter")
+    order = topo_order(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo_order(loss)):
-        if node._backward is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._backward is None:  # a leaf keeps its gradient
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad = node._backward = node._parents = None
+
+
+def keep_freed_memory() -> None:
+    """Keep the heap a released graph frees mapped for the next graph.
+
+    glibc's malloc otherwise returns a free heap top to the OS, and a loop
+    that builds and releases the same graph every batch faults it all in
+    again: 200 k minor faults, 15 % of an acceptance-shape `train` call.
+    Acts on the whole process; a no-op without mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's largest
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
 
 
 def zero_grads(params) -> None:

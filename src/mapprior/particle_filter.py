@@ -132,8 +132,9 @@ def resample_low_variance(particles: ParticleSet,
     """Systematic resampling with a single random offset; uniform output weights."""
     p = len(particles)
     total = particles.weights.sum()
-    if total <= 0:
-        raise ValueError("cannot resample: total particle weight is zero")
+    if not total > 0:  # a nan total would put every copy on particle 0
+        raise ValueError(f"cannot resample: total particle weight is {total}, "
+                         "not above zero")
     cum = np.cumsum(particles.weights / total)
     cum[-1] = 1.0
     positions = (rng.uniform(0.0, 1.0) + np.arange(p)) / p

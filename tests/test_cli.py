@@ -350,6 +350,16 @@ class TestMalformedInputs:
                                  "--weights", str(tmp_path / name))
             assert name in err and detail in err
 
+    def test_non_finite_weights_exit_2(self, tmp_path, map_path, sim_dir,
+                                       trained, capsys):
+        weights, meta = load_weights(trained)
+        weights["unet.out.b"] = np.full_like(weights["unet.out.b"], np.nan)
+        save_weights(tmp_path / "nan.lmw", weights, meta)
+        err = localize_error(tmp_path, map_path, sim_dir / "odom_000.csv",
+                             capsys, "--method", "ours",
+                             "--weights", tmp_path / "nan.lmw")
+        assert "nan.lmw: layer unet.out.b has non-finite values" in err
+
     @pytest.mark.parametrize("header", [
         [],
         {"format_version": 1},

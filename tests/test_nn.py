@@ -8,7 +8,7 @@ from mapprior.nn import (AdamState, adam_step, backward, constant,
                          save_weights, zero_grads)
 from mapprior.nn.lstm import lstm_cell
 from mapprior.nn.serialize import MAGIC, WeightsFormatError
-from mapprior.nn.tensor import make_node
+from mapprior.nn.tensor import make_node, topo_order
 from mapprior.particle_filter import FilterConfig, run_filter
 from mapprior.simulate import NoiseProfile, corrupt_to_odometry, generate_trajectory
 
@@ -100,6 +100,26 @@ def unet_conv_shapes(crop=32):
     return shapes
 
 
+# (n, c_in, c_out, h, w, kernel, dtype): the acceptance U-Net's layers at
+# batch 4, a 96-px layer and a few odd shapes.
+CONV_CASES = [
+    *[(4, c, f, s, s, k, np.float32) for c, f, k, s in unet_conv_shapes()],
+    (1, 16, 16, 96, 96, 3, np.float32),
+    (3, 1, 4, 9, 9, 3, np.float32),
+    (2, 5, 3, 6, 6, 1, np.float32),
+    (2, 3, 4, 9, 8, 5, np.float32),
+    (2, 3, 4, 7, 5, 3, np.float32),
+    (2, 6, 5, 12, 10, 3, np.float64),
+]
+
+
+def conv_case(n, c, f, h, wd, k, dtype):
+    """Input, kernel, bias and output gradient of one CONV_CASES entry."""
+    rng = np.random.default_rng(n * 1000 + c * 100 + f + h)
+    return tuple(rng.normal(size=shape).astype(dtype) for shape in
+                 ((n, c, h, wd), (f, c, k, k), (f,), (n, f, h, wd)))
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -152,21 +172,9 @@ class TestConv2d:
         backward(nn.sum_all(nn.mul(out, constant(g))))
         return out.data, xt.grad, wt.grad, bt.grad
 
-    @pytest.mark.parametrize("n, c, f, h, wd, k, dtype", [
-        *[(4, c, f, s, s, k, np.float32) for c, f, k, s in unet_conv_shapes()],
-        (1, 16, 16, 96, 96, 3, np.float32),
-        (3, 1, 4, 9, 9, 3, np.float32),
-        (2, 5, 3, 6, 6, 1, np.float32),
-        (2, 3, 4, 9, 8, 5, np.float32),
-        (2, 3, 4, 7, 5, 3, np.float32),
-        (2, 6, 5, 12, 10, 3, np.float64),
-    ])
+    @pytest.mark.parametrize("n, c, f, h, wd, k, dtype", CONV_CASES)
     def test_bit_identical_to_per_tap_oracle(self, n, c, f, h, wd, k, dtype):
-        rng = np.random.default_rng(n * 1000 + c * 100 + f + h)
-        x = rng.normal(size=(n, c, h, wd)).astype(dtype)
-        w = rng.normal(size=(f, c, k, k)).astype(dtype)
-        b = rng.normal(size=(f,)).astype(dtype)
-        g = rng.normal(size=(n, f, h, wd)).astype(dtype)
+        x, w, b, g = conv_case(n, c, f, h, wd, k, dtype)
         got = self.outputs_and_grads(nn.conv2d, x, w, b, g)
         want = self.outputs_and_grads(conv2d_per_tap, x, w, b, g)
         for name, a, e in zip(("out", "x.grad", "w.grad", "b.grad"), got, want):
@@ -231,6 +239,33 @@ def sigmoid_masked(d):
 
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def lstm_layers(rng, n_layers, feat, hidden, dtype):
+    """Uniform(-0.5, 0.5) weights of a stacked LSTM."""
+    layers, in_f = [], feat
+    for _ in range(n_layers):
+        layers.append({
+            "w_ih": rng.uniform(-0.5, 0.5, (4 * hidden, in_f)).astype(dtype),
+            "w_hh": rng.uniform(-0.5, 0.5, (4 * hidden, hidden)).astype(dtype),
+            "b_ih": rng.uniform(-0.5, 0.5, 4 * hidden).astype(dtype),
+            "b_hh": rng.uniform(-0.5, 0.5, 4 * hidden).astype(dtype)})
+        in_f = hidden
+    return layers
+
+
+# The acceptance shapes: depth 3, crop 32, batch 32.
+ACCEPT_CONFIG = ModelConfig(window_len=5, crop_size=32, batch_size=32)
+
+
+def acceptance_batch(seed=12, config=ACCEPT_CONFIG):
+    """Crops, windows, targets and weights of one random training batch."""
+    rng = np.random.default_rng(seed)
+    n, s, t_len = config.batch_size, config.crop_size, config.window_len
+    crops = (rng.random((n, 1, s, s)) < 0.7).astype(np.float32)
+    wins = np.cumsum(rng.normal(size=(n, t_len, 2)), axis=1).astype(np.float32)
+    targets = rng.random((n, s, s)).astype(np.float32)
+    return crops, wins, targets, np.ones_like(targets)
 
 
 class TestLstm:
@@ -306,14 +341,7 @@ class TestLstm:
     def test_bit_identical_to_composed_oracle(self, t_len, n, n_layers, dtype):
         rng = np.random.default_rng(t_len * 100 + n * 10 + n_layers)
         hidden, feat = 32, 2
-        layers, in_f = [], feat
-        for _ in range(n_layers):
-            layers.append({
-                "w_ih": rng.uniform(-0.5, 0.5, (4 * hidden, in_f)).astype(dtype),
-                "w_hh": rng.uniform(-0.5, 0.5, (4 * hidden, hidden)).astype(dtype),
-                "b_ih": rng.uniform(-0.5, 0.5, 4 * hidden).astype(dtype),
-                "b_hh": rng.uniform(-0.5, 0.5, 4 * hidden).astype(dtype)})
-            in_f = hidden
+        layers = lstm_layers(rng, n_layers, feat, hidden, dtype)
         seq = rng.normal(size=(n, t_len, feat)).astype(dtype)
         upstream = rng.normal(size=(n, hidden)).astype(dtype)
         got = self.outputs_and_grads(nn.lstm_forward, seq, layers, hidden, upstream)
@@ -327,17 +355,11 @@ class TestLstm:
         assert not inference.requires_grad and same_bits(inference.data, want[0])
 
     def test_batch_loss_gradients_bit_identical_to_composed_oracle(self, monkeypatch):
-        config = ModelConfig(window_len=5, crop_size=32, batch_size=32)
-        rng = np.random.default_rng(12)
-        crops = (rng.random((32, 1, 32, 32)) < 0.7).astype(np.float32)
-        wins = np.cumsum(rng.normal(size=(32, 5, 2)), axis=1).astype(np.float32)
-        targets = rng.random((32, 32, 32)).astype(np.float32)
-        weights = np.ones_like(targets)
         results = []
         for forward in (nn.lstm_forward, lstm_forward_composed):
             monkeypatch.setattr(nn, "lstm_forward", forward)
-            params = init_weights(config, 3)
-            loss = model._batch_loss(params, config, crops, wins, targets, weights)
+            params = init_weights(ACCEPT_CONFIG, 3)
+            loss = model._batch_loss(params, ACCEPT_CONFIG, *acceptance_batch())
             backward(loss)
             results.append((loss.data, {k: p.grad for k, p in params.items()}))
         (loss_a, grads_a), (loss_b, grads_b) = results
@@ -410,6 +432,98 @@ class TestBackwardEngine:
         assert x.grad[0] == pytest.approx(5.0)
 
 
+def backward_keep_all(loss):
+    """The keep-everything walk, as the oracle of `backward`: the same order,
+    but every interior gradient, closure and parent link stays until the
+    caller drops the graph."""
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo_order(loss)):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+class TestGraphRelease:
+    @staticmethod
+    def assert_same_grads(build):
+        """build() returns a scalar loss and a dict of fresh leaves; their
+        gradients must be byte-equal under backward and the oracle."""
+        found = []
+        for engine in (backward, backward_keep_all):
+            loss, leaves = build()
+            engine(loss)
+            found.append({k: t.grad for k, t in leaves.items()})
+        got, want = found
+        assert got.keys() == want.keys()
+        for k in got:
+            assert same_bits(got[k], want[k]), k
+
+    def test_batch_loss_at_acceptance_shapes(self):
+        assert ACCEPT_CONFIG.unet_depth == 3
+        batch = acceptance_batch(13)
+
+        def build():
+            params = init_weights(ACCEPT_CONFIG, 4)
+            return model._batch_loss(params, ACCEPT_CONFIG, *batch), params
+
+        self.assert_same_grads(build)
+
+    @pytest.mark.parametrize("n, c, f, h, wd, k, dtype", CONV_CASES)
+    def test_conv(self, n, c, f, h, wd, k, dtype):
+        x, w, b, g = conv_case(n, c, f, h, wd, k, dtype)
+
+        def build():
+            leaves = {"x": parameter(x, dtype), "w": parameter(w, dtype),
+                      "b": parameter(b, dtype)}
+            out = nn.conv2d(leaves["x"], leaves["w"], leaves["b"])
+            return nn.sum_all(nn.mul(out, constant(g))), leaves
+
+        self.assert_same_grads(build)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lstm(self, dtype):
+        rng = np.random.default_rng(14)
+        layers = lstm_layers(rng, 2, 2, 32, dtype)
+        seq = rng.normal(size=(3, 20, 2)).astype(dtype)
+        upstream = rng.normal(size=(3, 32)).astype(dtype)
+
+        def build():
+            params = [{k: parameter(v, dtype) for k, v in p.items()} for p in layers]
+            x = parameter(seq, dtype)
+            out = nn.lstm_forward(x, params, 32)
+            leaves = {"x": x, **{f"{i}.{k}": t for i, p in enumerate(params)
+                                 for k, t in p.items()}}
+            return nn.sum_all(nn.mul(out, constant(upstream))), leaves
+
+        self.assert_same_grads(build)
+
+    def test_interior_nodes_are_released(self):
+        config = ModelConfig(channels=8, unet_depth=2, base_width=4,
+                             crop_size=16, batch_size=4)
+        params = init_weights(config, 5)
+        loss = model._batch_loss(params, config, *acceptance_batch(15, config))
+        interior = [t for t in topo_order(loss) if t._backward is not None]
+        assert len(interior) > 10 and interior[-1] is loss
+        backward(loss)
+        for t in interior:
+            assert t.grad is None and t._backward is None and t._parents is None
+        assert all(p.grad is not None for p in params.values())
+        assert np.isfinite(loss.item())
+
+    def test_second_backward_through_released_graph_raises(self):
+        x = parameter(np.array([1.0, -2.0, 3.0]))
+        h = nn.relu(x)
+        loss = nn.sum_all(nn.mul(h, h))
+        backward(loss)
+        before = x.grad.copy()
+        with pytest.raises(ValueError, match="released") as exc:
+            backward(loss)
+        assert "\n" not in str(exc.value)
+        # A new graph over a released node cannot reach x either.
+        with pytest.raises(ValueError, match="released"):
+            backward(nn.sum_all(h))
+        assert same_bits(x.grad, before)
+
+
 class TestElementwiseOps:
     def test_gradchecks(self):
         rng = np.random.default_rng(7)
@@ -455,6 +569,13 @@ class TestElementwiseOps:
         s = nn.sigmoid(x).data
         assert np.all(np.isfinite(s))
         assert s[0] == 0.0 and s[1] == 1.0 and s[2] == 0.5
+
+    def test_maxpool_gradient_goes_to_first_maximum(self):
+        x = parameter(np.array([[[[1.0, 3.0, 2.0, 2.0], [3.0, 0.0, 2.0, 2.0]]]]))
+        out = nn.maxpool2(x)
+        assert np.array_equal(out.data, [[[[3.0, 2.0]]]])
+        backward(nn.sum_all(nn.mul(out, constant(np.array([[[[5.0, 7.0]]]])))))
+        assert np.array_equal(x.grad, [[[[0, 5, 7, 0], [0, 0, 0, 0]]]])
 
     def test_maxpool_requires_even_dims(self):
         with pytest.raises(ValueError, match="even"):
@@ -519,6 +640,15 @@ class TestSerialize:
         loaded, _ = load_weights(p1)
         save_weights(p2, loaded, meta={})
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_layer_rejected(self, tmp_path, bad):
+        path = tmp_path / "w.lmw"
+        save_weights(path, {"a": np.ones(2, dtype=np.float32),
+                            "b": np.array([0.0, bad], dtype=np.float32)}, meta={})
+        with pytest.raises(WeightsFormatError,
+                           match="w.lmw: layer b has non-finite values"):
+            load_weights(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.lmw"

@@ -203,6 +203,11 @@ class TestResample:
         with pytest.raises(ValueError, match="zero"):
             resample_low_variance(ps, np.random.default_rng(0))
 
+    def test_nan_weight_total_raises(self):
+        ps = make_set([[0.0, 0.0], [1.0, 1.0]], weights=[np.nan, 1.0])
+        with pytest.raises(ValueError, match="weight is nan"):
+            resample_low_variance(ps, np.random.default_rng(0))
+
     def test_hit_flags_travel_with_copies(self):
         ps = make_set([[0.0, 0.0], [1.0, 1.0]], weights=[1.0, 0.0],
                       hits=[True, False])

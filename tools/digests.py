@@ -35,6 +35,8 @@ from mapprior import (baselines, cli, model, nn, occupancy,  # noqa: E402
 SMALL_MODEL = model.ModelConfig(channels=8, unet_depth=2, base_width=4,
                                 window_len=5, crop_size=24, epochs=2,
                                 batch_size=16)
+# The acceptance shapes: depth 3, crop 32, batch 32.
+ACCEPT_MODEL = model.ModelConfig(window_len=5, crop_size=32, batch_size=32)
 
 
 def _feed(h, obj) -> None:
@@ -139,16 +141,25 @@ def kernels(out: dict, occ, found: dict) -> None:
         [targets.cross_correlate(big, k) for k in ks])
 
 
+def batch_loss(out: dict, tag: str, config, data: list) -> None:
+    """Loss and parameter gradients of one batch of data."""
+    params = model.init_weights(config, 9)
+    loss = model._batch_loss(params, config,
+                             *model._stack(data[: config.batch_size]))
+    nn.backward(loss)
+    out[f"model._batch_loss{tag}"] = digest(loss.data)
+    out[f"model._batch_loss{tag}.grads"] = digest(
+        {k: p.grad for k, p in params.items()})
+
+
 def training(out: dict, occ, found: dict) -> dict:
     trajs = [found["pedestrian", 0][0], found["pedestrian", 1][0]]
-    data = model.build_training_set(occ, trajs, SMALL_MODEL,
-                                    simulate.NoiseProfile.pedestrian(), seed=5)
+    noise = simulate.NoiseProfile.pedestrian()
+    data = model.build_training_set(occ, trajs, SMALL_MODEL, noise, seed=5)
     out["model.build_training_set"] = digest(data)
-    params = model.init_weights(SMALL_MODEL, 9)
-    loss = model._batch_loss(params, SMALL_MODEL, *model._stack(data[:16]))
-    nn.backward(loss)
-    out["model._batch_loss"] = digest(loss.data)
-    out["model._batch_loss.grads"] = digest({k: p.grad for k, p in params.items()})
+    batch_loss(out, "", SMALL_MODEL, data)
+    batch_loss(out, ".accept", ACCEPT_MODEL,
+               model.build_training_set(occ, trajs, ACCEPT_MODEL, noise, seed=5))
     weights, history = model.train(data, SMALL_MODEL, seed=2)
     out["model.train.weights"] = digest(weights)
     out["model.train.history"] = digest(history)
