@@ -20,7 +20,7 @@ import numpy as np
 
 from . import baselines, metrics
 from .model import (ModelConfig, TrainingDiverged, build_training_set,
-                    init_weights, require_1hz, train)
+                    check_weights, require_1hz, train)
 from .nn import load_weights, save_weights
 from .occupancy import load_map
 from .particle_filter import FilterConfig, run_filter
@@ -79,11 +79,12 @@ def _read_json_object(path: Path, what: str) -> dict:
     return obj
 
 
-def _config_from_dict(d, path) -> ModelConfig:
+def _prefixed(where, fn, *args):
+    """fn(*args), with where put in front of a ValueError's line."""
     try:
-        return ModelConfig.from_dict(d)
+        return fn(*args)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _parse_start(start: str | None, gt) -> Pose:
@@ -124,18 +125,13 @@ def _crf_params(args, occ, odom, gt, start_xy) -> baselines.CrfParams:
 
 
 def _load_model(path) -> tuple[dict, ModelConfig]:
-    """Weights and their model config; every layer name and shape must be
-    the ones the config builds."""
+    """Weights and their model config, checked against each other by
+    `model.check_weights`."""
     weights, meta = load_weights(path)
     if "model_config" not in meta:
         raise ValueError(f"{path}: no model_config in the weights metadata")
-    config = _config_from_dict(meta["model_config"], path)
-    want = {k: v.data.shape for k, v in init_weights(config, 0).items()}
-    have = {k: v.shape for k, v in weights.items()}
-    if have != want:
-        k = min(k for k in want.keys() | have.keys() if want.get(k) != have.get(k))
-        raise ValueError(f"{path}: layer {k} is {have.get(k, 'missing')} in the file "
-                         f"but {want.get(k, 'absent')} in its model_config")
+    config = _prefixed(path, ModelConfig.from_dict, meta["model_config"])
+    _prefixed(path, check_weights, weights, config)
     return weights, config
 
 
@@ -170,7 +166,8 @@ def cmd_train(args) -> int:
     config = ModelConfig()
     if args.config:
         path = Path(args.config)
-        config = _config_from_dict(_read_json_object(path, "model config"), path)
+        config = _prefixed(path, ModelConfig.from_dict,
+                        _read_json_object(path, "model config"))
     traj_dir = Path(args.traj_dir)
     gt_files = sorted(traj_dir.glob("gt_*.csv"))
     if not gt_files:
@@ -180,14 +177,11 @@ def cmd_train(args) -> int:
         if len(traj) < config.window_len:
             raise ValueError(f"{f}: {len(traj)} samples, fewer than the config's "
                              f"window_len ({config.window_len})")
-        try:
-            require_1hz(traj)
-        except ValueError as exc:
-            raise ValueError(f"{f}: {exc}") from None
+        _prefixed(f, require_1hz, traj)
     t0 = time.perf_counter()
-    noise = getattr(NoiseProfile, args.profile)()
-    dataset = build_training_set(occ, trajectories, config, noise,
-                                 seed=args.seed, stride=args.stride)
+    dataset = build_training_set(occ, trajectories, config,
+                                 NoiseProfile.pedestrian(), seed=args.seed,
+                                 stride=args.stride)
     weights, history = train(dataset, config, seed=args.seed)
     out = Path(args.out)
     meta = {
@@ -286,10 +280,7 @@ def cmd_eval(args) -> int:
     for est_path, gt_path in pairs:
         est = read_trajectory_csv(est_path)
         gt = read_trajectory_csv(gt_path)
-        try:
-            err = metrics.trajectory_error(est, gt)
-        except ValueError as exc:
-            raise ValueError(f"{est_path} vs {gt_path}: {exc}") from None
+        err = _prefixed(f"{est_path} vs {gt_path}", metrics.trajectory_error, est, gt)
         manifest_path = est_path.parent / (est_path.name + ".manifest.json")
         method, seed = None, None
         if manifest_path.exists():
@@ -346,9 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="build targets and fit the prior model")
     tr.add_argument("--traj-dir", required=True)
     tr.add_argument("--config", default=None, help="model config JSON file")
-    tr.add_argument("--profile", choices=["pedestrian", "wheeled"],
-                    default="pedestrian",
-                    help="augmentation noise profile for training windows")
     tr.add_argument("--stride", type=int, default=1,
                     help="keep every n-th training window")
     tr.add_argument("--log", default=None, help="loss curve CSV path")

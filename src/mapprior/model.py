@@ -95,17 +95,12 @@ class ModelConfig:
         return cls(**d)
 
 
-def init_weights(config: ModelConfig, seed: int,
-                 dtype=np.float32) -> dict[str, Tensor]:
-    """Kaiming-uniform conv weights, uniform +-1/sqrt(H) LSTM weights."""
-    rng = np.random.default_rng(seed)
-    params: dict[str, Tensor] = {}
+def weight_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every weight the config builds, in init order."""
+    shapes: dict[str, tuple[int, ...]] = {}
 
     def conv(name, c_in, c_out, k):
-        bound = np.sqrt(6.0 / (c_in * k * k))
-        params[f"{name}.w"] = parameter(
-            rng.uniform(-bound, bound, (c_out, c_in, k, k)), dtype)
-        params[f"{name}.b"] = parameter(np.zeros(c_out), dtype)
+        shapes[f"{name}.w"], shapes[f"{name}.b"] = (c_out, c_in, k, k), (c_out,)
 
     widths = config.widths()
     c_in = 1
@@ -119,22 +114,50 @@ def init_weights(config: ModelConfig, seed: int,
         conv(f"unet.dec{i}.c2", widths[i], widths[i], 3)
     conv("unet.out", widths[0], config.channels, 1)
 
-    hidden = config.channels
-    bound = 1.0 / np.sqrt(hidden)
-    in_f = 2
+    h = config.channels
     for layer in range(config.lstm_layers):
-        for tag, shape in (("w_ih", (4 * hidden, in_f)),
-                           ("w_hh", (4 * hidden, hidden)),
-                           ("b_ih", (4 * hidden,)), ("b_hh", (4 * hidden,))):
-            params[f"lstm.l{layer}.{tag}"] = parameter(
-                rng.uniform(-bound, bound, shape), dtype)
-        in_f = hidden
+        for tag, shape in (("w_ih", (4 * h, h if layer else 2)), ("w_hh", (4 * h, h)),
+                           ("b_ih", (4 * h,)), ("b_hh", (4 * h,))):
+            shapes[f"lstm.l{layer}.{tag}"] = shape
+    return shapes
+
+
+def init_weights(config: ModelConfig, seed: int,
+                 dtype=np.float32) -> dict[str, Tensor]:
+    """Kaiming-uniform conv kernels, zero conv biases, uniform +-1/sqrt(H)
+    LSTM weights."""
+    rng = np.random.default_rng(seed)
+    params: dict[str, Tensor] = {}
+    for name, shape in weight_shapes(config).items():
+        if name.startswith("lstm."):
+            bound = 1.0 / np.sqrt(config.channels)
+        elif name.endswith(".b"):
+            params[name] = parameter(np.zeros(shape), dtype)
+            continue
+        else:  # conv kernel (c_out, c_in, k, k)
+            bound = np.sqrt(6.0 / (shape[1] * shape[2] * shape[3]))
+        params[name] = parameter(rng.uniform(-bound, bound, shape), dtype)
     return params
 
 
 def as_tensors(weights: dict) -> dict[str, Tensor]:
     return {k: (v if isinstance(v, Tensor) else constant(np.asarray(v, dtype=np.float32)))
             for k, v in weights.items()}
+
+
+def check_weights(weights: dict, config: ModelConfig) -> None:
+    """Raise ValueError unless weights holds exactly the layers config builds,
+    each of its shape and finite in float32, the dtype the model runs in."""
+    arrays = {k: t.data for k, t in as_tensors(weights).items()}
+    want = weight_shapes(config)
+    have = {k: a.shape for k, a in arrays.items()}
+    if have != want:
+        k = min(k for k in want.keys() | have.keys() if want.get(k) != have.get(k))
+        raise ValueError(f"layer {k} is {have.get(k, 'missing')} in the weights "
+                         f"but {want.get(k, 'absent')} in the model config")
+    for k, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise ValueError(f"layer {k} has non-finite values")
 
 
 def unet_forward(x: Tensor, params: dict[str, Tensor],

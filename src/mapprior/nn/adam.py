@@ -8,13 +8,12 @@ import numpy as np
 
 from .tensor import Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -24,8 +23,8 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     """One bias-corrected Adam update in place; missing grads count as zero."""
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
@@ -37,10 +36,10 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
             raise ValueError(f"{name}: grad shape {g.shape} != param {p.data.shape}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        p.data -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.data.dtype)
+        p.data -= (state.lr * m_hat / (np.sqrt(v_hat) + EPS)).astype(p.data.dtype)

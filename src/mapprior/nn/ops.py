@@ -4,29 +4,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, make_node, unbroadcast
+from .tensor import Tensor, make_node
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b; an operand that needs a gradient must have the result's shape."""
     out = a.data + b.data
 
     def back(g):
         if a.requires_grad:
-            a.accumulate(unbroadcast(g, a.data.shape))
+            a.accumulate(g)
         if b.requires_grad:
-            b.accumulate(unbroadcast(g, b.data.shape))
+            b.accumulate(g)
 
     return make_node(out, (a, b), back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    """a * b; an operand that needs a gradient must have the result's shape."""
     out = a.data * b.data
 
     def back(g):
         if a.requires_grad:
-            a.accumulate(unbroadcast(g * b.data, a.data.shape))
+            a.accumulate(g * b.data)
         if b.requires_grad:
-            b.accumulate(unbroadcast(g * a.data, b.data.shape))
+            b.accumulate(g * a.data)
 
     return make_node(out, (a, b), back)
 
@@ -50,8 +52,7 @@ def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0)
 
     def back(g):
-        if x.requires_grad:
-            x.accumulate(g * (x.data > 0))
+        x.accumulate(g * (x.data > 0))
 
     return make_node(out, (x,), back)
 
@@ -68,8 +69,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = logistic(x.data)
 
     def back(g):
-        if x.requires_grad:
-            x.accumulate(g * out * (1.0 - out))
+        x.accumulate(g * out * (1.0 - out))
 
     return make_node(out, (x,), back)
 
@@ -78,8 +78,7 @@ def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
 
     def back(g):
-        if x.requires_grad:
-            x.accumulate(g * (1.0 - out * out))
+        x.accumulate(g * (1.0 - out * out))
 
     return make_node(out, (x,), back)
 
@@ -89,10 +88,9 @@ def index(x: Tensor, key) -> Tensor:
     out = x.data[key]
 
     def back(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[key] = g
-            x.accumulate(full)
+        full = np.zeros_like(x.data)
+        full[key] = g
+        x.accumulate(full)
 
     return make_node(out, (x,), back)
 
@@ -117,8 +115,7 @@ def sum_all(x: Tensor) -> Tensor:
     out = np.asarray(x.data.sum(), dtype=x.data.dtype)
 
     def back(g):
-        if x.requires_grad:
-            x.accumulate(np.broadcast_to(g, x.data.shape).astype(x.data.dtype))
+        x.accumulate(np.broadcast_to(g, x.data.shape).astype(x.data.dtype))
 
     return make_node(out, (x,), back)
 
@@ -190,11 +187,10 @@ def maxpool2(x: Tensor) -> Tensor:
 
     # The closure keeps the argmax indices, not the copy of x in flat.
     def back(g):
-        if x.requires_grad:
-            dflat = np.zeros(idx.shape + (4,), dtype=x.data.dtype)
-            np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
-            dx = dflat.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-            x.accumulate(dx.reshape(n, c, h, w))
+        dflat = np.zeros(idx.shape + (4,), dtype=x.data.dtype)
+        np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
+        dx = dflat.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        x.accumulate(dx.reshape(n, c, h, w))
 
     return make_node(out, (x,), back)
 
@@ -204,9 +200,8 @@ def upsample2(x: Tensor) -> Tensor:
     out = x.data.repeat(2, axis=2).repeat(2, axis=3)
 
     def back(g):
-        if x.requires_grad:
-            n, c, h2, w2 = g.shape
-            x.accumulate(g.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5)))
+        n, c, h2, w2 = g.shape
+        x.accumulate(g.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5)))
 
     return make_node(out, (x,), back)
 
@@ -236,7 +231,6 @@ def weighted_mse(pred: Tensor, target: np.ndarray, weights: np.ndarray) -> Tenso
     out = np.asarray((weights * diff * diff).sum() / n, dtype=pred.data.dtype)
 
     def back(g):
-        if pred.requires_grad:
-            pred.accumulate(g * (2.0 / n) * weights * diff)
+        pred.accumulate(g * (2.0 / n) * weights * diff)
 
     return make_node(out, (pred,), back)

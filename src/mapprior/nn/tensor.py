@@ -38,6 +38,9 @@ class Tensor:
         return float(self.data)
 
     def accumulate(self, g: np.ndarray) -> None:
+        if g.shape != self.data.shape:
+            raise ValueError(f"gradient of shape {g.shape} for a tensor of shape "
+                             f"{self.data.shape}")
         if self.grad is None:
             self.grad = g.astype(self.data.dtype, copy=True)
         else:
@@ -123,16 +126,3 @@ def keep_freed_memory() -> None:
 def zero_grads(params) -> None:
     for p in params.values():
         p.grad = None
-
-
-def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce a gradient back to the shape of a broadcast operand."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g

@@ -51,12 +51,15 @@ class FilterConfig:
     window_len: int = 5               # odometry samples per prior query
 
     def __post_init__(self):
-        if self.particle_count < 1:
-            raise ValueError("particle_count must be >= 1")
-        if min(self.init_sigma, self.motion_sigma_xy, self.motion_sigma_theta) < 0:
-            raise ValueError("sigmas must be >= 0")
-        if not self.r_reinit > 0:
-            raise ValueError("r_reinit must be > 0")
+        for key, low in (("particle_count", 1), ("window_len", 1), ("init_sigma", 0),
+                         ("motion_sigma_xy", 0), ("motion_sigma_theta", 0)):
+            value = getattr(self, key)
+            if not low <= value < np.inf:
+                raise ValueError(f"{key} must be finite and >= {low}, not {value}")
+        for key in ("r_reinit", "rate_hz"):
+            value = getattr(self, key)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{key} must be finite and > 0, not {value}")
         if not 0 < self.s_reinit <= 1:
             raise ValueError("s_reinit must be in (0, 1]")
         if self.mode not in ("pedestrian", "wheeled"):
@@ -222,6 +225,7 @@ def run_filter(odom: Odometry, occ: OccupancyMap, prior: str,
     if prior == "learned":
         if weights is None or model_config is None:
             raise ValueError("learned prior requires weights and model_config")
+        prior_model.check_weights(weights, model_config)
         map_tensor = prior_model.encode_map(occ, weights, model_config)
 
     rng = np.random.default_rng(seed)

@@ -111,9 +111,11 @@ class NoiseProfile:
     bias_window_s: float = 5.0
 
     def __post_init__(self):
-        if min(self.velocity_bias_sigma, self.additive_sigma,
-               self.heading_drift_sigma) < 0:
-            raise ValueError("noise sigmas must be >= 0")
+        for key in ("velocity_bias_sigma", "additive_sigma", "heading_drift_sigma",
+                    "bias_window_s"):
+            value = getattr(self, key)
+            if not 0 <= value < np.inf:
+                raise ValueError(f"noise {key} must be finite and >= 0, not {value}")
 
     @classmethod
     def pedestrian(cls) -> "NoiseProfile":
@@ -297,11 +299,10 @@ def generate_trajectory(occ: OccupancyMap, seed: int, duration_s: float,
             while not path:
                 # Prefer planning with wall clearance; if the eroded map is
                 # too fragmented, fall back to the raw grid.
-                use_raw = retries >= 12
-                base = occ if use_raw else plan_map
+                base = plan_map if retries < 12 else occ
                 goal_cell = _sample_free_cell(base, rng)
                 here = occ.world_to_cell(pos)
-                if not use_raw and not base.is_free_cell(*here):
+                if not base.is_free_cell(*here):
                     base = occ
                 planned = _plan_path(base, here, goal_cell)
                 if planned is None or len(planned) < 2:

@@ -343,7 +343,7 @@ class TestMalformedInputs:
         bogus = {**meta, "model_config": {**meta["model_config"], "bogus": 1}}
         save_weights(tmp_path / "bogus.lmw", weights, bogus)
         for name, detail in (("missing.lmw", "unet.enc1.c1.w is missing"),
-                             ("wide.lmw", "unet.dec0.c1.b is (4,) in the file but (8,)"),
+                             ("wide.lmw", "unet.dec0.c1.b is (4,) in the weights but (8,)"),
                              ("bogus.lmw", "bogus.lmw: unknown config keys: ['bogus']")):
             err = localize_error(tmp_path, map_path, sim_dir / "odom_000.csv",
                                  capsys, "--method", "ours",

@@ -431,6 +431,22 @@ class TestBackwardEngine:
         backward(nn.sum_all(y))
         assert x.grad[0] == pytest.approx(5.0)
 
+    def test_gradient_of_another_shape_is_rejected(self):
+        x = parameter(np.zeros(3))
+        with pytest.raises(ValueError, match=r"gradient of shape \(2, 3\) for a "
+                                             r"tensor of shape \(3,\)"):
+            x.accumulate(np.ones((2, 3)))
+        assert x.grad is None
+
+    def test_broadcast_operand_needing_a_gradient_is_rejected(self):
+        row, full = parameter(np.zeros(3)), parameter(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=r"gradient of shape \(2, 3\) for a "
+                                             r"tensor of shape \(3,\)"):
+            backward(nn.sum_all(nn.add(row, full)))
+        # A broadcast constant needs no gradient, so it still goes through.
+        backward(nn.sum_all(nn.add(full, constant(np.arange(3.0)))))
+        assert np.array_equal(full.grad, np.ones((2, 3)))
+
 
 def backward_keep_all(loss):
     """The keep-everything walk, as the oracle of `backward`: the same order,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mapprior import particle_filter, synthmaps
+from mapprior.model import ModelConfig, init_weights
 from mapprior.occupancy import OccupancyMap, segment_hits_obstacle
 from mapprior.particle_filter import (FilterConfig, ParticleSet, estimate,
                                       init_particles, maybe_reinit, propagate,
@@ -251,6 +252,14 @@ class TestMaybeReinit:
         with pytest.raises(ValueError, match="r_reinit"):
             FilterConfig(r_reinit=r_reinit)
 
+    @pytest.mark.parametrize("key, value", [
+        ("motion_sigma_xy", float("nan")), ("init_sigma", float("inf")),
+        ("motion_sigma_theta", float("nan")), ("window_len", 0),
+        ("r_reinit", float("inf")), ("rate_hz", 0.0)])
+    def test_out_of_range_field_rejected_at_construction(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            FilterConfig(**{key: value})
+
     def test_fires_above_threshold(self, open_map):
         cfg = FilterConfig(particle_count=1000, s_reinit=0.90)
         rng = np.random.default_rng(7)
@@ -425,6 +434,28 @@ class TestRunFilter:
         with pytest.raises(ValueError, match="weights"):
             run_filter(odom, open_map, "learned", FilterConfig(), 0,
                        Pose(0, 5, 5, 0))
+
+    @pytest.mark.parametrize("layer, edit, message", [
+        ("unet.out.b", lambda a: np.full_like(a, np.nan),
+         "layer unet.out.b has non-finite values"),
+        ("lstm.l1.b_hh", None,
+         r"layer lstm.l1.b_hh is missing in the weights but \(32,\) in the model config"),
+        ("unet.out.b", lambda a: a[:3],
+         r"layer unet.out.b is \(3,\) in the weights but \(8,\) in the model config")])
+    def test_learned_weights_checked_before_the_run(self, rooms_map, layer, edit,
+                                                    message):
+        config = ModelConfig(channels=8, unet_depth=2, base_width=4)
+        weights = {k: p.data for k, p in init_weights(config, 0).items()}
+        if edit is None:
+            del weights[layer]
+        else:
+            weights[layer] = edit(weights[layer])
+        gt = generate_trajectory(rooms_map, seed=0, duration_s=10.0)
+        odom = corrupt_to_odometry(gt, NoiseProfile.pedestrian(), seed=1,
+                                   resolution=rooms_map.resolution)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_filter(odom, rooms_map, "learned", FilterConfig(particle_count=20),
+                       0, gt.pose(0), weights=weights, model_config=config)
 
     def test_odometry_period_must_match_filter_rate(self, open_map):
         odom = Odometry(t=np.arange(1.0, 6.0) * 0.5, dxy=np.zeros((5, 2)),

@@ -288,6 +288,14 @@ class TestCorruptToOdometry:
         assert np.array_equal(odom.dxy, np.diff(traj.xy, axis=0))
         assert np.array_equal(odom.dtheta, wrap_angle(np.diff(traj.theta)))
 
+    @pytest.mark.parametrize("key, value", [
+        ("velocity_bias_sigma", float("nan")), ("additive_sigma", float("inf")),
+        ("heading_drift_sigma", float("nan")), ("bias_window_s", float("nan")),
+        ("bias_window_s", -3.0)])
+    def test_out_of_range_field_rejected_at_construction(self, key, value):
+        with pytest.raises(ValueError, match=f"^noise {key} must be"):
+            NoiseProfile(**{key: value})
+
     def test_one_bias_block_scales_every_displacement(self):
         # A bias window longer than the walk: one draw scales every step.
         traj = self.make_traj()
