@@ -12,6 +12,8 @@ from .simulate import Odometry, Trajectory, integrate_odometry, wrap_angle
 from .targets import cross_correlate, rasterize_kernel
 
 PDR_STRIDE = 0.67  # m per step
+# `localize --method pdr` heading drift per step, rad: bias and noise sigma.
+PDR_HEADING_BIAS, PDR_HEADING_NOISE = 0.005, 0.01
 
 
 def heuristic_prior(occ: OccupancyMap, window_xy: np.ndarray) -> np.ndarray:

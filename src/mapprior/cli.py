@@ -215,8 +215,8 @@ def cmd_localize(args) -> int:
         if gt is None:
             raise ValueError("method pdr needs --gt to synthesize step events")
         times, headings = baselines.synthesize_steps(
-            gt, heading_bias_per_step=args.pdr_heading_bias,
-            heading_noise_sigma=args.pdr_heading_noise, seed=args.seed)
+            gt, heading_bias_per_step=baselines.PDR_HEADING_BIAS,
+            heading_noise_sigma=baselines.PDR_HEADING_NOISE, seed=args.seed)
         est = baselines.pdr(times, headings, start_xy=(start.x, start.y),
                             start_t=start.t)
     elif args.method == "crf":
@@ -355,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--gt", default=None,
                      help="ground truth CSV (start pose unless --start is given, "
                           "pdr steps, crf search)")
-    loc.add_argument("--pdr-heading-bias", type=float, default=0.005)
-    loc.add_argument("--pdr-heading-noise", type=float, default=0.01)
     crf_help = " (default 1.0; grid-searched with --gt unless given)"
     loc.add_argument("--crf-unary", type=float, help="CRF unary weight" + crf_help)
     loc.add_argument("--crf-pairwise", type=float,

@@ -58,19 +58,23 @@ class ModelConfig:
     warmup_epochs: int = 2        # linear learning-rate ramp
 
     def __post_init__(self):
-        for key in ("channels", "unet_depth", "base_width", "lstm_layers",
-                    "window_len", "crop_size", "batch_size", "augment_copies"):
-            value = getattr(self, key)
-            if value < 1:
-                raise ValueError(f"config {key} must be >= 1, not {value}")
-        if self.epochs < 0:
-            raise ValueError(f"config epochs must be >= 0, not {self.epochs}")
+        """Each field's declared type (a float takes an int; bool never), then range."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = {"int": int, "float": (int, float)}[f.type]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"config {f.name} must be {f.type}, not {value!r}")
+            low = 0 if f.name in ("epochs", "warmup_epochs", "target_dilate") else 1
+            if kind is int and value < low:
+                raise ValueError(f"config {f.name} must be >= {low}, not {value}")
         if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"config learning_rate must be finite and > 0, "
                              f"not {self.learning_rate}")
         if not 0 <= self.val_fraction < 1:
             raise ValueError(f"config val_fraction must be in [0, 1), "
                              f"not {self.val_fraction}")
+        if np.isnan(self.max_grad_norm):
+            raise ValueError("config max_grad_norm must not be nan")
         if self.crop_size % (2 ** self.unet_depth) != 0:
             raise ValueError(
                 f"crop_size {self.crop_size} must be divisible by 2^depth "
@@ -81,17 +85,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Config from parsed JSON; a float field also accepts an int."""
+        """Config from parsed JSON; __post_init__ checks the values."""
         if not isinstance(d, dict):
             raise ValueError("model config is not a JSON object")
-        types = {f.name: f.type for f in fields(cls)}
-        unknown = set(d) - set(types)
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in d.items():
-            kind = {"int": int, "float": (int, float)}[types[key]]
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"config {key} must be {types[key]}, not {value!r}")
         return cls(**d)
 
 
@@ -194,7 +193,8 @@ def lstm_param_list(params: dict[str, Tensor],
 def encode_map(occ: OccupancyMap, weights: dict,
                config: ModelConfig) -> np.ndarray:
     """Deep map tensor (c, H, W) for a full map; pads to the U-Net stride and
-    crops back so output dims always equal the input dims."""
+    crops back so output dims equal the input dims.  Checks the weights first."""
+    check_weights(weights, config)
     params = as_tensors(weights)
     h, w = occ.free.shape
     mult = 2 ** config.unet_depth

@@ -14,9 +14,9 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 @dataclass
 class AdamState:
     lr: float = 0.01
-    step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    step_count: int = field(init=False, default=0)
+    m: dict[str, np.ndarray] = field(init=False, default_factory=dict)
+    v: dict[str, np.ndarray] = field(init=False, default_factory=dict)
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState) -> None:

@@ -225,7 +225,6 @@ def run_filter(odom: Odometry, occ: OccupancyMap, prior: str,
     if prior == "learned":
         if weights is None or model_config is None:
             raise ValueError("learned prior requires weights and model_config")
-        prior_model.check_weights(weights, model_config)
         map_tensor = prior_model.encode_map(occ, weights, model_config)
 
     rng = np.random.default_rng(seed)

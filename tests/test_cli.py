@@ -423,6 +423,10 @@ class TestMalformedInputs:
         ({"crop_size": 0}, "config.json: config crop_size must be >= 1, not 0"),
         pytest.param(DEEP_JSON, "config.json: model config is not valid JSON "
                      "(maximum recursion", id="deeply-nested"),
+        ('{"max_grad_norm": NaN}',
+         "config.json: config max_grad_norm must not be nan"),
+        ({"warmup_epochs": -4},
+         "config.json: config warmup_epochs must be >= 0, not -4"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, map_path, sim_dir,
                                       capsys, config, message):
@@ -488,17 +492,9 @@ class TestMalformedInputs:
          "CRF edge_length must be finite and > 0, not nan"),
         (["--method", "crf", "--crf-edge", "0"],
          "CRF edge_length must be finite and > 0, not 0.0"),
-        (["--method", "pdr", "--pdr-heading-noise", "-1"],
-         "heading noise sigma must be finite and >= 0, not -1.0"),
-        (["--method", "pdr", "--pdr-heading-noise", "inf"],
-         "heading noise sigma must be finite and >= 0, not inf"),
-        (["--method", "pdr", "--pdr-heading-bias", "nan"],
-         "heading bias must be finite, not nan"),
     ])
     def test_bad_crf_and_pdr_options_exit_2(self, tmp_path, map_path, sim_dir,
                                             capsys, extra, message):
-        if extra[1] == "pdr":
-            extra = [*extra, "--gt", sim_dir / "gt_000.csv"]
         err = localize_error(tmp_path, map_path, sim_dir / "odom_000.csv",
                              capsys, *extra)
         assert message in err

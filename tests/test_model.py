@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,20 @@ class TestModelConfig:
     def test_crop_divisibility_enforced(self):
         with pytest.raises(ValueError, match="divisible"):
             ModelConfig(crop_size=50)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("channels", True, "config channels must be int, not True"),
+        ("epochs", 2.0, "config epochs must be int, not 2.0"),
+        ("crop_size", "32", "config crop_size must be int, not '32'"),
+        ("learning_rate", "0.1", "config learning_rate must be float, not '0.1'"),
+        ("max_grad_norm", float("nan"), "config max_grad_norm must not be nan"),
+        ("warmup_epochs", -1, "config warmup_epochs must be >= 0, not -1"),
+        ("target_dilate", -1, "config target_dilate must be >= 0, not -1"),
+    ])
+    def test_bad_field_raises_one_value_error(self, field, value, message):
+        # The API path: the same check as from_dict, naming the field.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ModelConfig(**{field: value})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -54,6 +70,13 @@ class TestEncodeMap:
         out = encode_map(occ, w, MINI)
         for c in range(4):
             assert np.allclose(out[c], w["unet.out.b"][c])
+
+    def test_non_finite_weights_rejected(self):
+        w = zero_weights(MINI)
+        w["unet.out.b"] = np.array([0.0, np.nan, 0.0, 0.0], dtype=np.float32)
+        with pytest.raises(ValueError,
+                           match=r"^layer unet\.out\.b has non-finite values$"):
+            encode_map(synthmaps.open_box(8, 8), w, MINI)
 
     def test_encoding_is_deterministic_and_cacheable(self, rooms_map):
         w = init_weights(MINI, 2)

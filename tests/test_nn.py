@@ -624,6 +624,12 @@ class TestAdam:
             adam_step({"p": p}, state)
             assert state.step_count == expected
 
+    def test_state_is_not_a_constructor_argument(self):
+        # lr is the one setting; step_count, m and v are adam_step's state.
+        for state in ({"step_count": 1}, {"m": {}}, {"v": {}}):
+            with pytest.raises(TypeError):
+                AdamState(**state)
+
     def test_shape_mismatch_raises(self):
         p = parameter(np.zeros(3, dtype=np.float32))
         p.grad = np.zeros(4, dtype=np.float32)
