@@ -8,7 +8,7 @@ import numpy as np
 
 from .metrics import ate
 from .occupancy import OccupancyMap, segment_hits_obstacle
-from .simulate import Odometry, Trajectory, integrate_odometry, wrap_angle
+from .simulate import Odometry, Trajectory, check_fields, integrate_odometry, wrap_angle
 from .targets import cross_correlate, rasterize_kernel
 
 PDR_STRIDE = 0.67  # m per step
@@ -103,13 +103,8 @@ class CrfParams:
     edge_length: float = 1.0
 
     def __post_init__(self):
-        for key in ("unary_weight", "pairwise_weight"):
-            value = getattr(self, key)
-            if not 0 <= value < np.inf:
-                raise ValueError(f"CRF {key} must be finite and >= 0, not {value}")
-        if not 0 < self.edge_length < np.inf:
-            raise ValueError(f"CRF edge_length must be finite and > 0, "
-                             f"not {self.edge_length}")
+        check_fields(self, "CRF ", {"unary_weight": 0, "pairwise_weight": 0,
+                                    "edge_length": 0}, above=("edge_length",))
 
 
 def build_graph(occ: OccupancyMap, edge_length: float) -> LocationGraph:

@@ -65,8 +65,8 @@ def heatmap_to_distribution(heatmap: np.ndarray, occ: OccupancyMap) -> np.ndarra
     """Floor-clamped heatmap normalized into a distribution over free cells."""
     p = np.where(occ.free, np.maximum(heatmap.astype(np.float64), PRIOR_FLOOR), 0.0)
     total = p.sum()
-    if total <= 0:
-        raise ValueError("prior has zero mass on free space")
+    if not 0 < total < np.inf:
+        raise ValueError(f"prior mass on free space must be finite and > 0, not {total}")
     return p / total
 
 

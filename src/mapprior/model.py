@@ -26,7 +26,7 @@ from . import nn
 from .nn.tensor import (Tensor, backward, constant, keep_freed_memory, parameter,
                         zero_grads)
 from .occupancy import OccupancyMap, crop
-from .simulate import PERIOD_ATOL, NoiseProfile, Trajectory, window
+from .simulate import PERIOD_ATOL, NoiseProfile, Trajectory, check_fields, window
 # make_target stays importable from here: perfbench traces model.make_target.
 from .targets import location_target, make_target  # noqa: F401
 
@@ -58,18 +58,9 @@ class ModelConfig:
     warmup_epochs: int = 2        # linear learning-rate ramp
 
     def __post_init__(self):
-        """Each field's declared type (a float takes an int; bool never), then range."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind = {"int": int, "float": (int, float)}[f.type]
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"config {f.name} must be {f.type}, not {value!r}")
-            low = 0 if f.name in ("epochs", "warmup_epochs", "target_dilate") else 1
-            if kind is int and value < low:
-                raise ValueError(f"config {f.name} must be >= {low}, not {value}")
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError(f"config learning_rate must be finite and > 0, "
-                             f"not {self.learning_rate}")
+        low = {f.name: 1 for f in fields(self) if f.type == "int"}
+        low.update(epochs=0, warmup_epochs=0, target_dilate=0, learning_rate=0)
+        check_fields(self, "config ", low, above=("learning_rate",))
         if not 0 <= self.val_fraction < 1:
             raise ValueError(f"config val_fraction must be in [0, 1), "
                              f"not {self.val_fraction}")

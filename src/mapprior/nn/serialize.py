@@ -9,6 +9,7 @@ Loading rejects a layer with a non-finite value.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -80,8 +81,7 @@ def load_weights(path) -> tuple[dict[str, np.ndarray], dict]:
     offset = 12 + header_len
     for layer in header["layers"]:
         shape = tuple(layer["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 4 * count
+        end = offset + 4 * math.prod(shape)
         if end > len(raw):
             raise WeightsFormatError(f"{path}: truncated blob at layer {layer['name']}")
         arr = np.frombuffer(raw[offset:end], dtype="<f4").reshape(shape)

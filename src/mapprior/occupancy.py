@@ -34,10 +34,15 @@ class OccupancyMap:
         free = np.asarray(self.free, dtype=bool)
         if free.ndim != 2 or free.shape[0] < 1 or free.shape[1] < 1:
             raise MapError(f"grid must be 2D and nonempty, got shape {free.shape}")
-        if not self.resolution > 0:
-            raise MapError(f"resolution must be > 0, got {self.resolution}")
+        res, origin = np.asarray(self.resolution), np.asarray(self.origin)
+        if res.shape or res.dtype.kind not in "iuf" or not 0 < res < np.inf:
+            raise MapError(f"resolution must be finite and > 0, not {self.resolution!r}")
+        if (origin.shape != (2,) or origin.dtype.kind not in "iuf"
+                or not np.isfinite(origin).all()):
+            raise MapError(f"origin must be two finite numbers, not {self.origin!r}")
         free.flags.writeable = False
         object.__setattr__(self, "free", free)
+        object.__setattr__(self, "origin", (float(origin[0]), float(origin[1])))
 
     @property
     def height(self) -> int:

@@ -18,7 +18,7 @@ from .baselines import heuristic_prior
 from .occupancy import OccupancyMap, segments_hit_obstacles
 # Unused here; kept because the benchmark's tracer patches it by this name.
 from .occupancy import segment_hits_obstacle  # noqa: F401
-from .simulate import (PERIOD_ATOL, Odometry, Pose, Trajectory,
+from .simulate import (PERIOD_ATOL, Odometry, Pose, Trajectory, check_fields,
                        integrate_heading, integrate_odometry, window,
                        wrap_angle)
 
@@ -51,15 +51,10 @@ class FilterConfig:
     window_len: int = 5               # odometry samples per prior query
 
     def __post_init__(self):
-        for key, low in (("particle_count", 1), ("window_len", 1), ("init_sigma", 0),
-                         ("motion_sigma_xy", 0), ("motion_sigma_theta", 0)):
-            value = getattr(self, key)
-            if not low <= value < np.inf:
-                raise ValueError(f"{key} must be finite and >= {low}, not {value}")
-        for key in ("r_reinit", "rate_hz"):
-            value = getattr(self, key)
-            if not 0 < value < np.inf:
-                raise ValueError(f"{key} must be finite and > 0, not {value}")
+        check_fields(self, "", {"particle_count": 1, "window_len": 1, "init_sigma": 0,
+                                "motion_sigma_xy": 0, "motion_sigma_theta": 0,
+                                "r_reinit": 0, "rate_hz": 0},
+                     above=("r_reinit", "rate_hz"))
         if not 0 < self.s_reinit <= 1:
             raise ValueError("s_reinit must be in (0, 1]")
         if self.mode not in ("pedestrian", "wheeled"):

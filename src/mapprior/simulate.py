@@ -56,6 +56,21 @@ def _freeze_stream(stream, min_len: int) -> None:
         object.__setattr__(stream, name, arr)
 
 
+def check_fields(config, where: str, low: dict, above=()) -> None:
+    """Check each field's declared type (a float also takes an int; a bool never
+    passes), then that each field in `low` is finite and >= its bound (> if in `above`)."""
+    for f in fields(config):
+        name, value = f.name, getattr(config, f.name)
+        kind = {"int": int, "float": (int, float), "str": str}[f.type]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{where}{name} must be {f.type}, not {value!r}")
+        if name in low:
+            bound, op = low[name], ">" if name in above else ">="
+            if not ((value > bound if op == ">" else value >= bound) and value < np.inf):
+                finite = "" if f.type == "int" else "finite and "
+                raise ValueError(f"{where}{name} must be {finite}{op} {bound}, not {value}")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled poses in the world frame."""
@@ -111,11 +126,7 @@ class NoiseProfile:
     bias_window_s: float = 5.0
 
     def __post_init__(self):
-        for key in ("velocity_bias_sigma", "additive_sigma", "heading_drift_sigma",
-                    "bias_window_s"):
-            value = getattr(self, key)
-            if not 0 <= value < np.inf:
-                raise ValueError(f"noise {key} must be finite and >= 0, not {value}")
+        check_fields(self, "noise ", {f.name: 0 for f in fields(self)})
 
     @classmethod
     def pedestrian(cls) -> "NoiseProfile":

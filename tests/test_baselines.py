@@ -221,6 +221,8 @@ class TestCrfParams:
         ({"pairwise_weight": np.inf}, "pairwise_weight must be finite and >= 0"),
         ({"edge_length": 0.0}, "edge_length must be finite and > 0"),
         ({"edge_length": np.nan}, "edge_length must be finite and > 0"),
+        ({"edge_length": True}, "^CRF edge_length must be float, not True$"),
+        ({"unary_weight": "1.0"}, "^CRF unary_weight must be float, not '1.0'$"),
     ])
     def test_bad_values_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mapprior import synthmaps
 from mapprior.metrics import (ate, cdf_points, end_error,
                               heatmap_to_distribution, prior_kl,
                               trajectory_error)
@@ -144,6 +145,13 @@ class TestPriorKl:
         p = heatmap_to_distribution(np.ones((6, 6)), occ)
         assert p[2:4, 2:4].sum() == 0.0
         assert p.sum() == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_heatmap_rejected(self, bad):
+        occ = synthmaps.open_box(12, 12)
+        with pytest.raises(ValueError, match=rf"^prior mass on free space must be "
+                                             rf"finite and > 0, not {bad}$"):
+            prior_kl(np.full(occ.free.shape, bad), occ, occ.cell_center(5, 5))
 
     def test_misplaced_prior_scores_worse(self):
         occ = self.free_map()

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -684,6 +687,18 @@ class TestSerialize:
         raw = path.read_bytes()
         path.write_bytes(raw[:-4])
         with pytest.raises(WeightsFormatError, match="truncated"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("shape", [[2 ** 32, 2 ** 32], [2 ** 62, 4]])
+    def test_huge_shape_rejected_as_truncated(self, tmp_path, shape):
+        # Both element counts are 2**64, which np.prod wraps round to 0.
+        header = json.dumps({"format_version": 1, "meta": {},
+                             "layers": [{"name": "a", "shape": shape}]}).encode()
+        path = tmp_path / "w.lmw"
+        path.write_bytes(MAGIC + len(header).to_bytes(4, "little") + header
+                         + b"\x00" * 16)
+        with pytest.raises(WeightsFormatError,
+                           match=f"^{re.escape(str(path))}: truncated blob at layer a$"):
             load_weights(path)
 
     def test_file_shorter_than_header_rejected(self, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -450,3 +451,15 @@ class TestInvariants:
             OccupancyMap(np.ones((0, 3), dtype=bool), 0.25)
         with pytest.raises(MapError):
             OccupancyMap(np.ones((3, 3), dtype=bool), -1.0)
+
+    @pytest.mark.parametrize("resolution, origin, message", [
+        (float("inf"), (0.0, 0.0), "resolution must be finite and > 0, not inf"),
+        (True, (0.0, 0.0), "resolution must be finite and > 0, not True"),
+        ("0.25", (0.0, 0.0), "resolution must be finite and > 0, not '0.25'"),
+        (0.25, (float("nan"), 0.0), "origin must be two finite numbers, not (nan, 0.0)"),
+        (0.25, (1.0,), "origin must be two finite numbers, not (1.0,)"),
+        (0.25, "ab", "origin must be two finite numbers, not 'ab'"),
+    ])
+    def test_bad_resolution_or_origin_rejected(self, resolution, origin, message):
+        with pytest.raises(MapError, match=f"^{re.escape(message)}$"):
+            OccupancyMap(np.ones((3, 3), dtype=bool), resolution, origin)

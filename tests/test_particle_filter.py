@@ -255,7 +255,9 @@ class TestMaybeReinit:
     @pytest.mark.parametrize("key, value", [
         ("motion_sigma_xy", float("nan")), ("init_sigma", float("inf")),
         ("motion_sigma_theta", float("nan")), ("window_len", 0),
-        ("r_reinit", float("inf")), ("rate_hz", 0.0)])
+        ("r_reinit", float("inf")), ("rate_hz", 0.0),
+        ("particle_count", 20.5), ("window_len", 2.5), ("particle_count", True),
+        ("window_len", "5")])
     def test_out_of_range_field_rejected_at_construction(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be"):
             FilterConfig(**{key: value})

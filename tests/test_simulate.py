@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import heapq
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,7 +13,10 @@ import pytest
 from scipy import ndimage
 
 from mapprior import synthmaps
+from mapprior.baselines import CrfParams
+from mapprior.model import ModelConfig
 from mapprior.occupancy import OccupancyMap
+from mapprior.particle_filter import FilterConfig
 from mapprior.simulate import (NoiseProfile, Odometry, Trajectory,
                                _astar, _planning_map, _write_csv, corrupt_to_odometry,
                                dead_reckoning, diff_drive_step,
@@ -19,6 +24,22 @@ from mapprior.simulate import (NoiseProfile, Odometry, Trajectory,
                                read_odometry_csv, read_trajectory_csv, window,
                                wrap_angle, write_odometry_csv,
                                write_trajectory_csv)
+
+
+# Each config class and the prefix of its messages.  Every field gets a bool
+# and a value of another type, so a field added without a type check fails.
+CONFIG_PREFIXES = ((ModelConfig, "config "), (FilterConfig, ""),
+                   (NoiseProfile, "noise "), (CrfParams, "CRF "))
+
+
+@pytest.mark.parametrize("cls, where, field, value", [
+    pytest.param(cls, where, f, bad, id=f"{cls.__name__}.{f.name}-{bad!r}")
+    for cls, where in CONFIG_PREFIXES for f in dataclasses.fields(cls)
+    for bad in (True, 1 if f.type == "str" else "1")])
+def test_every_config_field_rejects_a_wrong_type(cls, where, field, value):
+    message = f"{where}{field.name} must be {field.type}, not {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(**{field.name: value})
 
 
 class TestDiffDrive:
@@ -291,7 +312,7 @@ class TestCorruptToOdometry:
     @pytest.mark.parametrize("key, value", [
         ("velocity_bias_sigma", float("nan")), ("additive_sigma", float("inf")),
         ("heading_drift_sigma", float("nan")), ("bias_window_s", float("nan")),
-        ("bias_window_s", -3.0)])
+        ("bias_window_s", -3.0), ("bias_window_s", True), ("additive_sigma", "0.1")])
     def test_out_of_range_field_rejected_at_construction(self, key, value):
         with pytest.raises(ValueError, match=f"^noise {key} must be"):
             NoiseProfile(**{key: value})
