@@ -20,13 +20,13 @@ import numpy as np
 
 from . import baselines, metrics
 from .model import (ModelConfig, TrainingDiverged, build_training_set,
-                    check_weights, require_1hz, train)
+                    check_weights, train)
 from .nn import load_weights, save_weights
 from .occupancy import load_map
 from .particle_filter import FilterConfig, run_filter
 from .simulate import (NoiseProfile, Pose, generate_trajectory,
                        corrupt_to_odometry, dead_reckoning, read_odometry_csv,
-                       read_trajectory_csv, write_odometry_csv,
+                       read_trajectory_csv, require_1hz, write_odometry_csv,
                        write_trajectory_csv)
 
 MANIFEST_VERSION = 1
@@ -231,6 +231,7 @@ def cmd_localize(args) -> int:
             if not args.weights:
                 raise ValueError("method ours needs --weights")
             prior, (weights, mcfg) = "learned", _load_model(args.weights)
+        _prefixed(args.odom, require_1hz, odom)
         run = run_filter(odom, occ, prior, fc, args.seed, start,
                          weights=weights, model_config=mcfg)
         est = run.estimates

@@ -26,7 +26,7 @@ from . import nn
 from .nn.tensor import (Tensor, backward, constant, keep_freed_memory, parameter,
                         zero_grads)
 from .occupancy import OccupancyMap, crop
-from .simulate import PERIOD_ATOL, NoiseProfile, Trajectory, check_fields, window
+from .simulate import NoiseProfile, Trajectory, check_fields, require_1hz, window
 # make_target stays importable from here: perfbench traces model.make_target.
 from .targets import location_target, make_target  # noqa: F401
 
@@ -238,15 +238,6 @@ def augment_window(rel_window: np.ndarray, noise: NoiseProfile,
                        (len(rel_window), 2))
     steps[0] = 0.0
     return b * rel_window + np.cumsum(steps, axis=0)
-
-
-def require_1hz(traj: Trajectory) -> None:
-    """Raise unless traj is sampled every 1 s: training windows are counts."""
-    periods = np.diff(traj.t)
-    if not np.allclose(periods, 1.0, rtol=0, atol=PERIOD_ATOL):
-        lo, hi = float(periods.min()), float(periods.max())
-        every = f"{lo:g}" if hi - lo <= PERIOD_ATOL else f"{lo:g} to {hi:g}"
-        raise ValueError(f"sampled every {every} s, not at 1 Hz")
 
 
 def build_training_set(occ: OccupancyMap, trajectories: list[Trajectory],

@@ -33,21 +33,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return make_node(out, (a, b), back)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w.T + b with w of shape (out_features, in_features)."""
-    out = x.data @ w.data.T + b.data
-
-    def back(g):
-        if x.requires_grad:
-            x.accumulate(g @ w.data)
-        if w.requires_grad:
-            w.accumulate(g.T @ x.data)
-        if b.requires_grad:
-            b.accumulate(g.sum(axis=0))
-
-    return make_node(out, (x, w, b), back)
-
-
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0)
 
@@ -79,18 +64,6 @@ def tanh(x: Tensor) -> Tensor:
 
     def back(g):
         x.accumulate(g * (1.0 - out * out))
-
-    return make_node(out, (x,), back)
-
-
-def index(x: Tensor, key) -> Tensor:
-    """Basic indexing x.data[key] (ints and slices) as a graph node."""
-    out = x.data[key]
-
-    def back(g):
-        full = np.zeros_like(x.data)
-        full[key] = g
-        x.accumulate(full)
 
     return make_node(out, (x,), back)
 

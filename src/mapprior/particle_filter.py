@@ -18,9 +18,9 @@ from .baselines import heuristic_prior
 from .occupancy import OccupancyMap, segments_hit_obstacles
 # Unused here; kept because the benchmark's tracer patches it by this name.
 from .occupancy import segment_hits_obstacle  # noqa: F401
-from .simulate import (PERIOD_ATOL, Odometry, Pose, Trajectory, check_fields,
-                       integrate_heading, integrate_odometry, window,
-                       wrap_angle)
+from .simulate import (SAMPLE_PERIOD_S, Odometry, Pose, Trajectory, check_fields,
+                       integrate_heading, integrate_odometry, require_1hz,
+                       window, wrap_angle)
 
 WEIGHT_FLOOR = 1e-12
 
@@ -46,15 +46,14 @@ class FilterConfig:
     motion_sigma_theta: float = 0.0   # rad per step (wheeled only)
     r_reinit: float = 5.0             # m
     s_reinit: float = 0.90            # fraction of flagged particles
-    rate_hz: float = 1.0
     mode: str = "pedestrian"
     window_len: int = 5               # odometry samples per prior query
+    rate_hz = 1.0 / SAMPLE_PERIOD_S   # steps per second; not a field
 
     def __post_init__(self):
         check_fields(self, "", {"particle_count": 1, "window_len": 1, "init_sigma": 0,
                                 "motion_sigma_xy": 0, "motion_sigma_theta": 0,
-                                "r_reinit": 0, "rate_hz": 0},
-                     above=("r_reinit", "rate_hz"))
+                                "r_reinit": 0}, above=("r_reinit",))
         if not 0 < self.s_reinit <= 1:
             raise ValueError("s_reinit must be in (0, 1]")
         if self.mode not in ("pedestrian", "wheeled"):
@@ -213,10 +212,7 @@ def run_filter(odom: Odometry, occ: OccupancyMap, prior: str,
     """
     if prior not in ("learned", "heuristic", "none"):
         raise ValueError(f"unknown prior {prior!r}")
-    if not np.allclose(np.diff(odom.t), 1.0 / config.rate_hz,
-                       rtol=0, atol=PERIOD_ATOL):
-        raise ValueError(f"odometry period does not match the filter rate "
-                         f"of {config.rate_hz:g} Hz")
+    require_1hz(odom)
     if prior == "learned":
         if weights is None or model_config is None:
             raise ValueError("learned prior requires weights and model_config")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -20,6 +21,7 @@ PEDESTRIAN_SPEED = 1.3   # m/s
 WHEELED_SPEED = 0.2      # m/s
 WHEEL_RADIUS = 0.033     # m
 SIM_DT = 0.1             # internal integration step, s
+SAMPLE_PERIOD_S = 1.0    # s between stream samples; windows are sample counts
 PERIOD_ATOL = 1e-9       # s, tolerance on a uniform sample period
 
 
@@ -56,19 +58,34 @@ def _freeze_stream(stream, min_len: int) -> None:
         object.__setattr__(stream, name, arr)
 
 
+def require_1hz(stream) -> None:
+    """Raise unless a Trajectory or Odometry is sampled every SAMPLE_PERIOD_S:
+    windows are sample counts, so a model holds only at the rate it was
+    trained at."""
+    periods = np.diff(stream.t)
+    if not np.allclose(periods, SAMPLE_PERIOD_S, rtol=0, atol=PERIOD_ATOL):
+        lo, hi = float(periods.min()), float(periods.max())
+        every = f"{lo:g}" if hi - lo <= PERIOD_ATOL else f"{lo:g} to {hi:g}"
+        raise ValueError(f"sampled every {every} s, not at {1 / SAMPLE_PERIOD_S:g} Hz")
+
+
 def check_fields(config, where: str, low: dict, above=()) -> None:
     """Check each field's declared type (a float also takes an int; a bool never
-    passes), then that each field in `low` is finite and >= its bound (> if in `above`)."""
+    passes), then that each field in `low` is finite and >= its bound (> if in
+    `above`).  An int in a float field must fit in a float."""
     for f in fields(config):
         name, value = f.name, getattr(config, f.name)
         kind = {"int": int, "float": (int, float), "str": str}[f.type]
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ValueError(f"{where}{name} must be {f.type}, not {value!r}")
+        finite = f.type != "float" or abs(value) <= sys.float_info.max
         if name in low:
             bound, op = low[name], ">" if name in above else ">="
-            if not ((value > bound if op == ">" else value >= bound) and value < np.inf):
-                finite = "" if f.type == "int" else "finite and "
-                raise ValueError(f"{where}{name} must be {finite}{op} {bound}, not {value}")
+            if not (finite and (value > bound if op == ">" else value >= bound)):
+                what = "" if f.type == "int" else "finite and "
+                raise ValueError(f"{where}{name} must be {what}{op} {bound}, not {value}")
+        elif not (finite or isinstance(value, float)):
+            raise ValueError(f"{where}{name} must be float, not an int beyond its range")
 
 
 @dataclass(frozen=True)
@@ -286,7 +303,7 @@ def generate_trajectory(occ: OccupancyMap, seed: int, duration_s: float,
     """
     if profile not in ("pedestrian", "wheeled"):
         raise ValueError(f"unknown profile {profile!r}")
-    per_sample = int(round(1.0 / SIM_DT))  # SIM_DT steps per 1 Hz sample
+    per_sample = int(round(SAMPLE_PERIOD_S / SIM_DT))  # SIM_DT steps per sample
     n_steps = int(round(duration_s / SIM_DT)) if np.isfinite(duration_s) else 0
     if n_steps < per_sample:
         raise ValueError(f"duration {duration_s} s is not finite or too short "
@@ -358,7 +375,7 @@ def generate_trajectory(occ: OccupancyMap, seed: int, duration_s: float,
         states.append((t, pos[0], pos[1], theta))
 
     arr = np.asarray(states)[::per_sample]
-    t = np.arange(len(arr), dtype=np.float64)  # exact nominal timestamps
+    t = SAMPLE_PERIOD_S * np.arange(len(arr), dtype=np.float64)  # exact nominal times
     return Trajectory(t=t, xy=arr[:, 1:3], theta=arr[:, 3])
 
 
@@ -371,16 +388,13 @@ def corrupt_to_odometry(traj: Trajectory, noise: NoiseProfile,
     component.  Heading deltas get per-step noise that also accumulates into
     the displacement frame (wheel-style drift).
     """
-    periods = np.diff(traj.t)
-    if not np.allclose(periods, periods[0], rtol=0, atol=PERIOD_ATOL):
-        raise ValueError("trajectory must be uniformly sampled")
+    require_1hz(traj)
     rng = np.random.default_rng(seed)
     n = len(traj) - 1
     d_true = np.diff(traj.xy, axis=0)
     dth_true = wrap_angle(np.diff(traj.theta))
 
-    period = float(periods[0])
-    block = max(1, int(round(noise.bias_window_s / period)))
+    block = max(1, int(round(noise.bias_window_s / SAMPLE_PERIOD_S)))
     n_blocks = -(-n // block)
     biases = rng.normal(1.0, noise.velocity_bias_sigma, n_blocks)
     bias_per_step = np.repeat(biases, block)[:n]

@@ -323,7 +323,7 @@ class TestMalformedInputs:
         odom.write_text("t,dx,dy,dtheta\n0.5,0.1,0,0\n1,0.1,0,0\n1.5,0.1,0,0\n")
         err = localize_error(tmp_path, map_path, odom, capsys,
                              "--method", "heuristic")
-        assert "period" in err
+        assert "odom.csv: sampled every 0.5 s, not at 1 Hz" in err
 
     def test_short_weights_file_exits_2(self, tmp_path, map_path, sim_dir,
                                         capsys):
@@ -427,6 +427,12 @@ class TestMalformedInputs:
          "config.json: config max_grad_norm must not be nan"),
         ({"warmup_epochs": -4},
          "config.json: config warmup_epochs must be >= 0, not -4"),
+        pytest.param('{"learning_rate": 1' + 400 * "0" + "}",
+                     "config.json: config learning_rate must be finite and > 0, "
+                     "not 1" + 400 * "0", id="learning_rate-beyond-float"),
+        pytest.param('{"max_grad_norm": 1' + 400 * "0" + "}",
+                     "config.json: config max_grad_norm must be float, not an int "
+                     "beyond its range", id="max_grad_norm-beyond-float"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, map_path, sim_dir,
                                       capsys, config, message):

@@ -197,12 +197,39 @@ class TestConv2d:
         assert finite_difference_check(loss, {"x": x, "w": w, "b": b}) < 1e-4
 
 
+def linear(x, w, b):
+    """x @ w.T + b with w of shape (out_features, in_features), as a graph node."""
+    out = x.data @ w.data.T + b.data
+
+    def back(g):
+        if x.requires_grad:
+            x.accumulate(g @ w.data)
+        if w.requires_grad:
+            w.accumulate(g.T @ x.data)
+        if b.requires_grad:
+            b.accumulate(g.sum(axis=0))
+
+    return make_node(out, (x, w, b), back)
+
+
+def index(x, key):
+    """Basic indexing x.data[key] (ints and slices) as a graph node."""
+    out = x.data[key]
+
+    def back(g):
+        full = np.zeros_like(x.data)
+        full[key] = g
+        x.accumulate(full)
+
+    return make_node(out, (x,), back)
+
+
 def lstm_step_composed(x, h_prev, c_prev, w_ih, w_hh, b_ih, b_hh):
     """One LSTM cell as a graph of per-step ops: the slow, obvious version
     that nn.lstm_forward must match bit for bit, forward and backward."""
     hidden = h_prev.data.shape[1]
-    z = nn.add(nn.linear(x, w_ih, b_ih), nn.linear(h_prev, w_hh, b_hh))
-    gi, gf, gc, go = (nn.index(z, np.s_[:, k * hidden : (k + 1) * hidden])
+    z = nn.add(linear(x, w_ih, b_ih), linear(h_prev, w_hh, b_hh))
+    gi, gf, gc, go = (index(z, np.s_[:, k * hidden : (k + 1) * hidden])
                       for k in range(4))
     i = nn.sigmoid(gi)
     f = nn.sigmoid(gf)
@@ -216,7 +243,7 @@ def lstm_step_composed(x, h_prev, c_prev, w_ih, w_hh, b_ih, b_hh):
 def lstm_forward_composed(seq, layer_params, hidden):
     n, t_len, _ = seq.data.shape
     dtype = seq.data.dtype
-    xs = [nn.index(seq, np.s_[:, t]) for t in range(t_len)]
+    xs = [index(seq, np.s_[:, t]) for t in range(t_len)]
     for params in layer_params:
         h = constant(np.zeros((n, hidden), dtype=dtype))
         c = constant(np.zeros((n, hidden), dtype=dtype))
@@ -550,7 +577,7 @@ class TestElementwiseOps:
             ("sigmoid", lambda t: nn.sigmoid(t)),
             ("tanh", lambda t: nn.tanh(t)),
             ("relu_offset", lambda t: nn.relu(nn.add(t, constant(np.float64(0.37))))),
-            ("index", lambda t: nn.index(t, np.s_[1:, 2])),
+            ("index", lambda t: index(t, np.s_[1:, 2])),
         ]
         for name, fn in specs:
             x = parameter(rng.normal(size=(3, 4)), np.float64)

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -255,7 +255,7 @@ class TestMaybeReinit:
     @pytest.mark.parametrize("key, value", [
         ("motion_sigma_xy", float("nan")), ("init_sigma", float("inf")),
         ("motion_sigma_theta", float("nan")), ("window_len", 0),
-        ("r_reinit", float("inf")), ("rate_hz", 0.0),
+        ("r_reinit", float("inf")),
         ("particle_count", 20.5), ("window_len", 2.5), ("particle_count", True),
         ("window_len", "5")])
     def test_out_of_range_field_rejected_at_construction(self, key, value):
@@ -462,12 +462,15 @@ class TestRunFilter:
     def test_odometry_period_must_match_filter_rate(self, open_map):
         odom = Odometry(t=np.arange(1.0, 6.0) * 0.5, dxy=np.zeros((5, 2)),
                         dtheta=np.zeros(5))
-        with pytest.raises(ValueError, match="period"):
+        with pytest.raises(ValueError, match="^sampled every 0.5 s, not at 1 Hz$"):
             run_filter(odom, open_map, "none", FilterConfig(), 0,
                        Pose(0, 5, 5, 0))
-        run = run_filter(odom, open_map, "none", FilterConfig(rate_hz=2.0), 0,
-                         Pose(0, 5, 5, 0))
-        assert len(run.estimates) == 6
+
+    def test_rate_is_the_sample_clock_not_a_field(self):
+        # The learned prior's windows are sample counts, so the filter runs
+        # only at the rate the model was trained at.
+        assert "rate_hz" not in {f.name for f in fields(FilterConfig)}
+        assert FilterConfig().rate_hz == 1.0
 
     def test_wheeled_window_is_ground_truth_relative_window(self, open_map,
                                                             monkeypatch):

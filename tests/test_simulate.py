@@ -42,6 +42,21 @@ def test_every_config_field_rejects_a_wrong_type(cls, where, field, value):
         cls(**{field.name: value})
 
 
+@pytest.mark.parametrize("cls, where, field", [
+    pytest.param(cls, where, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls, where in CONFIG_PREFIXES for f in dataclasses.fields(cls)
+    if f.type == "float"])
+def test_every_float_field_rejects_an_int_beyond_float_range(cls, where, field):
+    # 10**400 compares below inf but cannot be converted to a float.
+    with pytest.raises(ValueError, match=f"^{re.escape(where + field)} must be "):
+        cls(**{field: 10**400})
+
+
+def test_int_within_float_range_passes_a_float_field():
+    noise = NoiseProfile(additive_sigma=int(sys.float_info.max))
+    assert noise.additive_sigma == sys.float_info.max
+
+
 class TestDiffDrive:
     def test_one_rev_each_wheel_straight(self):
         # One revolution per wheel, no turn: arc length pi*r*(nL+nR).
@@ -364,7 +379,14 @@ class TestCorruptToOdometry:
     def test_nonuniform_sampling_rejected(self):
         t = np.array([0.0, 1.0, 3.0])
         traj = Trajectory(t=t, xy=np.zeros((3, 2)), theta=np.zeros(3))
-        with pytest.raises(ValueError, match="uniform"):
+        with pytest.raises(ValueError, match="^sampled every 1 to 2 s, not at 1 Hz$"):
+            corrupt_to_odometry(traj, NoiseProfile.noiseless(), seed=0)
+
+    def test_uniform_sampling_other_than_1hz_rejected(self):
+        # Bias blocks and odometry windows count samples of the 1 Hz clock.
+        t = 0.5 * np.arange(8.0)
+        traj = Trajectory(t=t, xy=np.zeros((8, 2)), theta=np.zeros(8))
+        with pytest.raises(ValueError, match="^sampled every 0.5 s, not at 1 Hz$"):
             corrupt_to_odometry(traj, NoiseProfile.noiseless(), seed=0)
 
 
