@@ -342,20 +342,16 @@ def train(dataset: list[TrainingSample], config: ModelConfig,
     n_val = int(round(config.val_fraction * len(dataset)))
     gap = config.window_len * config.augment_copies
     n_train = len(dataset) - n_val - gap
-    if n_val > 0 and n_train >= config.batch_size:
-        train_set = dataset[:n_train]
-        val_set = dataset[len(dataset) - n_val :]
-    else:
-        train_set = dataset
-        val_set = dataset
-    train_data = _stack(train_set)
-    val_data = _stack(val_set)
+    split = n_val > 0 and n_train >= config.batch_size
+    train_data = _stack(dataset[:n_train] if split else dataset)
+    # A set too small to split validates on its own training data.
+    val_data = _stack(dataset[len(dataset) - n_val :]) if split else train_data
 
     keep_freed_memory()
     opt = nn.AdamState(lr=config.learning_rate)
     history: list[tuple[int, float, float]] = []
     t0 = _eval_loss(params, config, train_data, config.batch_size)
-    v0 = _eval_loss(params, config, val_data, config.batch_size)
+    v0 = _eval_loss(params, config, val_data, config.batch_size) if split else t0
     history.append((0, t0, v0))
     best_val = v0
     best = {k: p.data.copy() for k, p in params.items()}

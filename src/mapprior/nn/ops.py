@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 from .tensor import Tensor, make_node
@@ -93,13 +95,75 @@ def sum_all(x: Tensor) -> Tensor:
     return make_node(out, (x,), back)
 
 
+# CBLAS enum values: row-major storage, no transpose.
+_ROW_MAJOR, _NO_TRANS = 101, 111
+# The most input channels (the GEMM's K) for which a tap goes through BLAS.
+# OpenBLAS splits K into blocks (448 for sgemm and 384 for dgemm on a
+# SkylakeX core) and adds each block's partial sum into C, so past one block
+# a beta = 1 product would add the old C into the first block's sum, not into
+# the whole product.  128 keeps a margin below those blocks.
+_GEMM_MAX_K = 128
+
+
+def _find_gemm() -> dict:
+    """The CBLAS sgemm and dgemm that numpy links, keyed by dtype, each with
+    one more than the largest size it takes; empty when none is found.
+
+    dlsym on the handle of numpy's extension module also searches the
+    libraries that module depends on, numpy's BLAS among them."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return {}
+    found = {}
+    for dtype, real in ((np.float32, ctypes.c_float), (np.float64, ctypes.c_double)):
+        gemm = ("s" if dtype is np.float32 else "d") + "gemm"
+        for name, size in ((f"scipy_cblas_{gemm}64_", ctypes.c_int64),
+                           (f"cblas_{gemm}64_", ctypes.c_int64),
+                           (f"scipy_cblas_{gemm}", ctypes.c_int32),
+                           (f"cblas_{gemm}", ctypes.c_int32)):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                ptr = ctypes.c_void_p
+                fn.argtypes = [ctypes.c_int] * 3 + [size] * 3 + [
+                    real, ptr, size, ptr, size, real, ptr, size]
+                fn.restype = None
+                found[np.dtype(dtype)] = fn, 2 ** (8 * ctypes.sizeof(size) - 1)
+                break
+    return found
+
+
+_GEMM = _find_gemm()
+
+
 def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """'Same'-padded cross-correlation of x (N,C,H,W) with w (F,C,kh,kw).
 
     Each kernel tap (i, j) is one GEMM on the contiguous slice of the
     flattened padded input that starts at i*Wp + j: output row y then spans
     padded-width columns, and the kw-1 columns past W are dropped at the end.
-    One spare bottom row keeps the last tap's slice in bounds."""
+    One spare bottom row keeps the last tap's slice in bounds.
+
+    The taps' products are summed into the output in tap order.  Where it
+    can, BLAS does the sum: per sample and tap, one GEMM with beta = 1 adds
+    the product into the output (C <- A.B + C) with no product array.  That
+    gives the same bits as numpy's `out += taps[i, j] @ xs`: the kernel
+    forms the same dot products in the same order and adds each to C with
+    one rounding, as the separate add does, because 1.0 * C and 1.0 * A.B
+    are exact.  numpy's loop stays where it alone is correct:
+    - no BLAS symbol was found, or x, w are not one native float32/float64;
+    - one input channel: the product is a broadcast multiply, not a GEMM;
+    - more than _GEMM_MAX_K channels, where BLAS splits the sum;
+    - one output channel or one output cell: OpenBLAS hands such a GEMM to
+      gemv, which adds into C term by term, so the last bit can differ.
+    BLAS sets no numpy warning, so after the GEMMs one pass (a sum) looks
+    for a non-finite output; if it finds one, numpy's loop recomputes the
+    call, with numpy's overflow warnings and values.  A finite output whose
+    sum overflows is recomputed too, which costs only time."""
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
@@ -107,6 +171,25 @@ def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     xf = np.pad(x, ((0, 0), (0, 0), (ph, ph + 1), (pw, pw))).reshape(n, c, -1)
     taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
     out = np.zeros((n, f, h * wp), dtype=x.dtype)
+    gemm, limit = _GEMM.get(x.dtype, (None, 0))
+    if (gemm is not None and w.dtype == x.dtype and 1 < c <= _GEMM_MAX_K
+            and f > 1 and h * wp > 1 and xf.shape[2] < limit):
+        # BLAS reads raw memory where numpy slicing would clip.
+        assert xf.flags.c_contiguous and taps.flags.c_contiguous
+        assert out.flags.c_contiguous
+        size, tap = x.itemsize, taps.ctypes.data
+        x0, out0 = xf.ctypes.data, out.ctypes.data
+        for s in range(n):
+            xs, dst = x0 + s * xf.strides[0], out0 + s * out.strides[0]
+            for i in range(kh):
+                for j in range(kw):
+                    gemm(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, f, h * wp, c, 1.0,
+                         tap + (i * kw + j) * f * c * size, c,
+                         xs + (i * wp + j) * size, xf.shape[2], 1.0, dst, h * wp)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isfinite(out.sum()):
+                return out.reshape(n, f, h, wp)[..., :wd]
+        out.fill(0)
     for i in range(kh):
         for j in range(kw):
             xs = xf[:, :, i * wp + j : i * wp + j + h * wp]

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from mapprior import nn, synthmaps
+from mapprior import model, nn, synthmaps
 from mapprior.model import (ModelConfig, ODOM_INPUT_SCALE, TrainingDiverged,
                             as_tensors, build_training_set, encode_map,
                             encode_odometry, init_weights, lstm_param_list,
@@ -204,6 +204,23 @@ class TestTraining:
         with pytest.warns(RuntimeWarning), \
                 pytest.raises((TrainingDiverged, FloatingPointError)):
             train(ds, bad, seed=0)
+
+    def test_unsplit_set_runs_the_untrained_forward_once(self, toy_setup,
+                                                         monkeypatch):
+        # With no validation share the set validates on itself, so the
+        # epoch-0 row needs one forward pass over it, not two.
+        occ, cfg, ds = toy_setup
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0].data.shape[0])
+            return unet_forward(*args)
+
+        monkeypatch.setattr(model, "unet_forward", counting)
+        _, hist = train(ds, ModelConfig(**{**cfg.__dict__, "epochs": 1}), seed=0)
+        # Epoch 0, epoch 1's one batch of ten, then its validation.
+        assert calls == [10, 10, 10]
+        assert hist[0][1] == hist[0][2]
 
     def test_history_has_epoch_zero_baseline(self, toy_setup):
         occ, cfg, ds = toy_setup

@@ -1,11 +1,13 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
 
 from mapprior import model, nn, synthmaps
 from mapprior.model import ModelConfig, init_weights
+from mapprior.nn import ops
 from mapprior.nn import (AdamState, adam_step, backward, constant,
                          finite_difference_check, load_weights, parameter,
                          save_weights, zero_grads)
@@ -104,7 +106,8 @@ def unet_conv_shapes(crop=32):
 
 
 # (n, c_in, c_out, h, w, kernel, dtype): the acceptance U-Net's layers at
-# batch 4, a 96-px layer and a few odd shapes.
+# batch 4, a 96-px layer and a few odd shapes, among them the ones that
+# `_correlate` keeps off BLAS: one output channel and one output cell.
 CONV_CASES = [
     *[(4, c, f, s, s, k, np.float32) for c, f, k, s in unet_conv_shapes()],
     (1, 16, 16, 96, 96, 3, np.float32),
@@ -113,6 +116,8 @@ CONV_CASES = [
     (2, 3, 4, 9, 8, 5, np.float32),
     (2, 3, 4, 7, 5, 3, np.float32),
     (2, 6, 5, 12, 10, 3, np.float64),
+    (2, 4, 1, 9, 8, 3, np.float32),
+    (2, 3, 4, 1, 1, 1, np.float32),
 ]
 
 
@@ -182,6 +187,49 @@ class TestConv2d:
         want = self.outputs_and_grads(conv2d_per_tap, x, w, b, g)
         for name, a, e in zip(("out", "x.grad", "w.grad", "b.grad"), got, want):
             assert a.dtype == e.dtype and np.array_equal(a, e), name
+
+    @pytest.mark.parametrize("n, c, f, h, wd, k, dtype", CONV_CASES)
+    def test_bit_identical_to_per_tap_oracle_without_blas(
+            self, monkeypatch, n, c, f, h, wd, k, dtype):
+        monkeypatch.setattr(ops, "_GEMM", {})
+        self.test_bit_identical_to_per_tap_oracle(n, c, f, h, wd, k, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_many_channels_match_numpy_loop(self, monkeypatch, dtype):
+        """520 input channels span two of OpenBLAS's blocks of the GEMM's
+        sum on x86, where beta = 1 would round apart from numpy's loop."""
+        x, w, b, g = conv_case(1, 520, 16, 12, 20, 3, dtype)
+        got = self.outputs_and_grads(nn.conv2d, x, w, b, g)
+        monkeypatch.setattr(ops, "_GEMM", {})
+        want = self.outputs_and_grads(nn.conv2d, x, w, b, g)
+        for name, a, e in zip(("out", "x.grad", "w.grad", "b.grad"), got, want):
+            assert np.array_equal(a, e), name
+
+    def test_blas_gemm_found(self):
+        """numpy's scipy-openblas wheels on Linux export both CBLAS GEMMs; a
+        lookup that misses them would only show as a slower conv."""
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if sys.platform != "linux" or blas.get("name") != "scipy-openblas":
+            pytest.skip(f"numpy's BLAS is {blas.get('name')} on {sys.platform}")
+        assert set(ops._GEMM) == {np.dtype(np.float32), np.dtype(np.float64)}
+
+    def test_overflow_warns_and_matches_numpy_loop(self, monkeypatch):
+        # Products near 1e40 overflow float32, with both signs: inf and nan.
+        x, w, b, _ = conv_case(2, 3, 4, 7, 5, 3, np.float32)
+        x, w = x * np.float32(1e37), w * np.float32(1e3)
+
+        def conv():
+            with pytest.warns(RuntimeWarning) as seen:
+                out = nn.conv2d(constant(x), constant(w), constant(b)).data
+            return out, sorted(str(r.message) for r in seen)
+
+        got, got_seen = conv()
+        monkeypatch.setattr(ops, "_GEMM", {})
+        want, want_seen = conv()
+        assert np.isnan(want).any() and np.isinf(want).any()
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got_seen == want_seen
+        assert any("overflow" in m for m in got_seen)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(2)

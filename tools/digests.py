@@ -4,7 +4,11 @@ Prints one JSON object mapping each output to the sha256 of its dtype, shape
 and bytes.  Run it on two source trees (copy this file into the other one)
 and compare the JSON:
 
-    python3 tools/digests.py > a.json
+    python3 tools/digests.py > parent.json          # in the other tree
+    python3 tools/digests.py --against parent.json  # in this one
+
+With `--against`, it prints each key whose digest differs or that only one
+side has, and exits 1 if there is any; otherwise it says how many match.
 
 The package is imported from the `src/` next to this file, and BLAS is pinned
 to one thread so that every reduction runs in a fixed order.  Only names that
@@ -18,6 +22,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
@@ -284,6 +289,10 @@ def map_headers(out: dict) -> None:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", type=Path, metavar="PARENT.json",
+                        help="compare with this JSON instead of printing")
+    args = parser.parse_args()
     out: dict = {}
     occ = synthmaps.corridor_rooms()
     layouts(out)
@@ -297,9 +306,18 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         files(out, occ, Path(tmp))
     map_headers(out)
-    json.dump(out, sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
-    return 0
+    if args.against is None:
+        json.dump(out, sys.stdout, indent=1, sort_keys=True)
+        sys.stdout.write("\n")
+        return 0
+    theirs = json.loads(args.against.read_text())
+    differ = sorted(k for k in out.keys() | theirs.keys()
+                    if out.get(k) != theirs.get(k))
+    for key in differ:
+        print(key)
+    if not differ:
+        print(f"all {len(out)} entries match {args.against}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
