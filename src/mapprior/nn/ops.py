@@ -103,6 +103,8 @@ _ROW_MAJOR, _NO_TRANS = 101, 111
 # a beta = 1 product would add the old C into the first block's sum, not into
 # the whole product.  128 keeps a margin below those blocks.
 _GEMM_MAX_K = 128
+# The fewest output cells per plane (h*wp) worth BLAS's ctypes call per tap.
+_GEMM_MIN_N = 128
 
 
 def _find_gemm() -> dict:
@@ -140,6 +142,14 @@ def _find_gemm() -> dict:
 _GEMM = _find_gemm()
 
 
+def _pad(x: np.ndarray, top: int, bottom: int, side: int) -> np.ndarray:
+    """np.pad's zero rows above and below x (N,C,H,W), `side` columns a side."""
+    n, c, h, wd = x.shape
+    xp = np.zeros((n, c, top + h + bottom, wd + 2 * side), dtype=x.dtype)
+    xp[:, :, top : top + h, side : side + wd] = x
+    return xp
+
+
 def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """'Same'-padded cross-correlation of x (N,C,H,W) with w (F,C,kh,kw).
 
@@ -158,8 +168,8 @@ def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     - no BLAS symbol was found, or x, w are not one native float32/float64;
     - one input channel: the product is a broadcast multiply, not a GEMM;
     - more than _GEMM_MAX_K channels, where BLAS splits the sum;
-    - one output channel or one output cell: OpenBLAS hands such a GEMM to
-      gemv, which adds into C term by term, so the last bit can differ.
+    - one output channel or fewer than _GEMM_MIN_N output cells: OpenBLAS
+      hands a one-row or one-cell GEMM to gemv, whose last bit can differ.
     BLAS sets no numpy warning, so after the GEMMs one pass (a sum) looks
     for a non-finite output; if it finds one, numpy's loop recomputes the
     call, with numpy's overflow warnings and values.  A finite output whose
@@ -168,12 +178,12 @@ def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     f, _, kh, kw = w.shape
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
     wp = wd + 2 * pw
-    xf = np.pad(x, ((0, 0), (0, 0), (ph, ph + 1), (pw, pw))).reshape(n, c, -1)
+    xf = _pad(x, ph, ph + 1, pw).reshape(n, c, -1)
     taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
     out = np.zeros((n, f, h * wp), dtype=x.dtype)
     gemm, limit = _GEMM.get(x.dtype, (None, 0))
     if (gemm is not None and w.dtype == x.dtype and 1 < c <= _GEMM_MAX_K
-            and f > 1 and h * wp > 1 and xf.shape[2] < limit):
+            and f > 1 and h * wp >= _GEMM_MIN_N and xf.shape[2] < limit):
         # BLAS reads raw memory where numpy slicing would clip.
         assert xf.flags.c_contiguous and taps.flags.c_contiguous
         assert out.flags.c_contiguous
@@ -203,8 +213,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     with odd kh and kw, b (F,)."""
     n, c, h, wd = x.data.shape
     f, cw, kh, kw = w.data.shape
-    if cw != c:
-        raise ValueError(f"input has {c} channels, kernel expects {cw}")
+    if cw != c or b.data.shape != (f,):
+        raise ValueError(f"input has {c} channels and bias shape {b.data.shape}, "
+                         f"kernel expects {cw} channels and bias shape ({f},)")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("'same' padding requires odd kernel dims")
     out = _correlate(x.data, w.data) + b.data[:, None, None]
@@ -213,15 +224,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate(g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
+            # Tap (i, j) is rows i..i+h of column j's copy, viewed flat: the
+            # per-tap copy's GEMM, same M, N, K but ldb; OpenBLAS packs B first.
             ph, pw = (kh - 1) // 2, (kw - 1) // 2
-            xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+            xp = _pad(x.data, ph, ph, pw)
             g3 = np.ascontiguousarray(g).reshape(n, f, h * wd)
             dw = np.empty_like(w.data)
-            for i in range(kh):
-                for j in range(kw):
-                    xs = np.ascontiguousarray(xp[:, :, i : i + h, j : j + wd])
-                    dw[:, :, i, j] = (g3 @ xs.reshape(n, c, h * wd)
-                                      .transpose(0, 2, 1)).sum(axis=0)
+            for j in range(kw):
+                col = np.ascontiguousarray(xp[..., j : j + wd])
+                for i in range(kh):
+                    xs = col[:, :, i : i + h].reshape(n, c, h * wd)
+                    dw[:, :, i, j] = (g3 @ xs.transpose(0, 2, 1)).sum(axis=0)
             w.accumulate(dw)
         if x.requires_grad:
             # dx is the correlation of the output gradient with the spatially
@@ -252,12 +265,14 @@ def maxpool2(x: Tensor) -> Tensor:
 
 
 def upsample2(x: Tensor) -> Tensor:
-    """Nearest-neighbor x2 upsampling."""
+    """Nearest-neighbor x2 upsampling.  Its backward adds 0 + (top pair) +
+    (bottom pair) per 2x2 block: numpy's block-sum order on a C-ordered g, but
+    for a 1-wide x ((a + b) + c) + d, which crop_size % 2^depth == 0 rules out."""
     out = x.data.repeat(2, axis=2).repeat(2, axis=3)
 
     def back(g):
-        n, c, h2, w2 = g.shape
-        x.accumulate(g.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5)))
+        x.accumulate(0.0 + (g[..., 0::2, 0::2] + g[..., 0::2, 1::2])
+                     + (g[..., 1::2, 0::2] + g[..., 1::2, 1::2]))
 
     return make_node(out, (x,), back)
 

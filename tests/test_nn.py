@@ -107,7 +107,9 @@ def unet_conv_shapes(crop=32):
 
 # (n, c_in, c_out, h, w, kernel, dtype): the acceptance U-Net's layers at
 # batch 4, a 96-px layer and a few odd shapes, among them the ones that
-# `_correlate` keeps off BLAS: one output channel and one output cell.
+# `_correlate` keeps off BLAS: one output channel and one output cell.  A
+# kernel is k or (kh, kw); the non-square rows run `dw`'s column copies on
+# planes on either side of _GEMM_MIN_N and on one input channel.
 CONV_CASES = [
     *[(4, c, f, s, s, k, np.float32) for c, f, k, s in unet_conv_shapes()],
     (1, 16, 16, 96, 96, 3, np.float32),
@@ -118,14 +120,18 @@ CONV_CASES = [
     (2, 6, 5, 12, 10, 3, np.float64),
     (2, 4, 1, 9, 8, 3, np.float32),
     (2, 3, 4, 1, 1, 1, np.float32),
+    (2, 3, 4, 12, 14, (3, 5), np.float32),
+    (2, 3, 4, 7, 5, (5, 3), np.float32),
+    (3, 1, 2, 6, 5, (1, 3), np.float64),
 ]
 
 
 def conv_case(n, c, f, h, wd, k, dtype):
     """Input, kernel, bias and output gradient of one CONV_CASES entry."""
+    kh, kw = (k, k) if isinstance(k, int) else k
     rng = np.random.default_rng(n * 1000 + c * 100 + f + h)
     return tuple(rng.normal(size=shape).astype(dtype) for shape in
-                 ((n, c, h, wd), (f, c, k, k), (f,), (n, f, h, wd)))
+                 ((n, c, h, wd), (f, c, kh, kw), (f,), (n, f, h, wd)))
 
 
 class TestConv2d:
@@ -167,11 +173,28 @@ class TestConv2d:
         with pytest.raises(ValueError, match="channels"):
             nn.conv2d(x, w, constant(np.zeros(3, dtype=np.float32)))
 
+    @pytest.mark.parametrize("shape", [(3, 1), (1,)])
+    def test_bias_of_wrong_shape_raises(self, shape):
+        # (3, 1) would broadcast the batch from 1 to 3, (1,) over every filter.
+        x = constant(np.zeros((1, 2, 4, 4), dtype=np.float32))
+        w = constant(np.zeros((3, 2, 3, 3), dtype=np.float32))
+        with pytest.raises(ValueError, match=r"bias shape .*bias shape \(3,\)"):
+            nn.conv2d(x, w, constant(np.zeros(shape, dtype=np.float32)))
+
     def test_even_kernel_raises(self):
         x = constant(np.zeros((1, 2, 4, 4), dtype=np.float32))
         w = constant(np.zeros((3, 2, 2, 3), dtype=np.float32))
         with pytest.raises(ValueError, match="odd kernel"):
             nn.conv2d(x, w, constant(np.zeros(3, dtype=np.float32)))
+
+    @pytest.mark.parametrize("pads", [(1, 1, 1), (1, 2, 1), (2, 3, 0), (0, 1, 2)])
+    def test_pad_matches_np_pad(self, pads):
+        top, bottom, side = pads
+        x = np.random.default_rng(3).normal(size=(3, 4, 9, 10)).astype(np.float32)
+        for a in (x, np.asfortranarray(x), x[:, 1:3, ::2, 3:], x.transpose(1, 0, 3, 2)):
+            got = ops._pad(a, top, bottom, side)
+            want = np.pad(a, ((0, 0), (0, 0), (top, bottom), (side, side)))
+            assert same_bits(got, want) and got.flags.c_contiguous
 
     @staticmethod
     def outputs_and_grads(conv, x, w, b, g):
@@ -194,6 +217,22 @@ class TestConv2d:
         monkeypatch.setattr(ops, "_GEMM", {})
         self.test_bit_identical_to_per_tap_oracle(n, c, f, h, wd, k, dtype)
 
+    @pytest.mark.parametrize("blas", [True, False])
+    @pytest.mark.parametrize("k", [(5, 3), (3, 5), 3])
+    def test_one_input_channel_dw_bit_identical(self, monkeypatch, blas, k):
+        """With one input channel, `dw`'s column windows are (h*wd, 1)
+        vectors; they give the oracle's bits.  dx is then a product with one
+        output channel, which OpenBLAS runs as gemv: its last bit follows
+        where an output sits in the row, and the oracle's full correlation
+        puts it elsewhere, so dx is checked to rounding only."""
+        if not blas:
+            monkeypatch.setattr(ops, "_GEMM", {})
+        x, w, b, g = conv_case(2, 1, 4, 10, 12, k, np.float32)
+        out, dx, dw, db = self.outputs_and_grads(nn.conv2d, x, w, b, g)
+        out0, dx0, dw0, db0 = self.outputs_and_grads(conv2d_per_tap, x, w, b, g)
+        assert same_bits(out, out0) and same_bits(dw, dw0) and same_bits(db, db0)
+        assert np.allclose(dx, dx0, rtol=1e-6, atol=1e-6)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_many_channels_match_numpy_loop(self, monkeypatch, dtype):
         """520 input channels span two of OpenBLAS's blocks of the GEMM's
@@ -213,9 +252,37 @@ class TestConv2d:
             pytest.skip(f"numpy's BLAS is {blas.get('name')} on {sys.platform}")
         assert set(ops._GEMM) == {np.dtype(np.float32), np.dtype(np.float64)}
 
+    def test_small_planes_take_numpy_loop(self, monkeypatch):
+        if np.dtype(np.float32) not in ops._GEMM:
+            pytest.skip("no BLAS sgemm found")
+        calls = []
+        fn, limit = ops._GEMM[np.dtype(np.float32)]
+
+        def counted(*args):
+            calls.append(args[4])
+            fn(*args)
+
+        monkeypatch.setitem(ops._GEMM, np.dtype(np.float32), (counted, limit))
+        # The U-Net's 8 px layers (80 cells) run faster in numpy's loop, its
+        # 16 px layers (288 cells) as fast either way.
+        for side, blas in ((8, False), (16, True)):
+            x, w, _, _ = conv_case(2, 4, 4, side, side, 3, np.float32)
+            ops._correlate(x, w)
+            assert calls == ([side * (side + 2)] * 2 * 9 if blas else [])
+            calls.clear()
+
     def test_overflow_warns_and_matches_numpy_loop(self, monkeypatch):
+        self.assert_overflow_matches_numpy_loop(monkeypatch, (2, 3, 4, 7, 5, 3))
+
+    def test_overflow_on_blas_path_matches_numpy_loop(self, monkeypatch):
+        # 12 rows of 14 padded columns are past _GEMM_MIN_N: BLAS runs first.
+        assert 12 * 14 >= ops._GEMM_MIN_N
+        self.assert_overflow_matches_numpy_loop(monkeypatch, (2, 3, 4, 12, 12, 3))
+
+    @staticmethod
+    def assert_overflow_matches_numpy_loop(monkeypatch, case):
         # Products near 1e40 overflow float32, with both signs: inf and nan.
-        x, w, b, _ = conv_case(2, 3, 4, 7, 5, 3, np.float32)
+        x, w, b, _ = conv_case(*case, np.float32)
         x, w = x * np.float32(1e37), w * np.float32(1e3)
 
         def conv():
@@ -670,6 +737,37 @@ class TestElementwiseOps:
         assert np.array_equal(out.data, [[[[3.0, 2.0]]]])
         backward(nn.sum_all(nn.mul(out, constant(np.array([[[[5.0, 7.0]]]])))))
         assert np.array_equal(x.grad, [[[[0, 5, 7, 0], [0, 0, 0, 0]]]])
+
+    @staticmethod
+    def upsample_grad(g):
+        x = parameter(np.zeros(g.shape[:2] + (g.shape[2] // 2, g.shape[3] // 2)), g.dtype)
+        nn.upsample2(x)._backward(g)
+        return x.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    @pytest.mark.parametrize("c", [1, 3, 16])
+    def test_upsample_gradient_is_numpy_block_sum(self, n, c, dtype):
+        """The backward's slice sums give numpy's reshape-sum bit for bit
+        from half-width 2 up, -0.0 and inf included; a nan stays a nan in
+        the same place, but which nan bits it keeps follows operand order."""
+        rng = np.random.default_rng(n * 100 + c)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 3e38], dtype)
+        for h, w in ((1, 2), (2, 3), (3, 2), (4, 16), (5, 7)):
+            g = rng.normal(size=(n, c, 2 * h, 2 * w)).astype(dtype)
+            g[rng.random(g.shape) < 0.3] = -0.0
+            mixed = rng.random(g.shape) < 0.1
+            g[mixed] = rng.choice(special, mixed.sum())
+            g[0, 0, :2, :2] = -0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = self.upsample_grad(g)
+                want = g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
+            nan = np.isnan(want)
+            assert got.dtype == want.dtype and np.array_equal(np.isnan(got), nan)
+            assert same_bits(got[~nan], want[~nan]), (h, w)
+            assert not np.signbit(got[0, 0, 0, 0])
+        g = rng.normal(size=(n, c, 6, 2)).astype(dtype)
+        assert np.allclose(self.upsample_grad(g), g.reshape(n, c, 3, 2, 1, 2).sum(axis=(3, 5)))
 
     def test_maxpool_requires_even_dims(self):
         with pytest.raises(ValueError, match="even"):
