@@ -243,6 +243,7 @@ def cmd_localize(args) -> int:
                                      / fc.rate_hz),
             "reinit_count": run.reinit_count,
             "degenerate_count": run.degenerate_count,
+            "skipped_steps": run.skipped_steps,
         })
 
     out = Path(args.out)
@@ -283,17 +284,18 @@ def cmd_eval(args) -> int:
         gt = read_trajectory_csv(gt_path)
         err = _prefixed(f"{est_path} vs {gt_path}", metrics.trajectory_error, est, gt)
         manifest_path = est_path.parent / (est_path.name + ".manifest.json")
-        method, seed = None, None
+        method, map_path, seed = None, None, None
         if manifest_path.exists():
             m = _read_json_object(manifest_path, "manifest")
             run_args = m.get("args", {})
             if not isinstance(run_args, dict):
                 raise ValueError(f"{manifest_path}: manifest args is not a JSON object")
-            method, seed = run_args.get("method"), run_args.get("seed")
+            method, map_path, seed = (run_args.get(k)
+                                      for k in ("method", "map", "seed"))
         per_traj.append({
-            "method": method, "map": str(args.map) if args.map else None,
-            "seed": seed, "ate_m": err.ate, "ee_m": err.ee,
-            "n_steps": err.n_total, "est": est_path.name, "gt": gt_path.name,
+            "method": method, "map": map_path, "seed": seed,
+            "ate_m": err.ate, "ee_m": err.ee, "n_steps": err.n_total,
+            "est": est_path.name, "gt": gt_path.name,
         })
         all_errors.extend(err.per_step_errors.tolist())
 
@@ -366,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="ATE/EE metrics and CDF data")
     ev.add_argument("--est-dir", required=True)
     ev.add_argument("--gt-dir", required=True)
-    ev.add_argument("--map", default=None)
     ev.add_argument("--out", required=True)
     ev.set_defaults(fn=cmd_eval)
     return top

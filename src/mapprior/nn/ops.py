@@ -98,18 +98,18 @@ def sum_all(x: Tensor) -> Tensor:
 # CBLAS enum values: row-major storage, no transpose.
 _ROW_MAJOR, _NO_TRANS = 101, 111
 # The most input channels (the GEMM's K) for which a tap goes through BLAS.
-# OpenBLAS splits K into blocks (448 for sgemm and 384 for dgemm on a
-# SkylakeX core) and adds each block's partial sum into C, so past one block
-# a beta = 1 product would add the old C into the first block's sum, not into
-# the whole product.  128 keeps a margin below those blocks.
+# OpenBLAS splits K into blocks (448 for sgemm on a SkylakeX core) and adds
+# each block's partial sum into C, so past one block a beta = 1 product would
+# add the old C into the first block's sum, not into the whole product.  128
+# keeps a margin below those blocks.
 _GEMM_MAX_K = 128
 # The fewest output cells per plane (h*wp) worth BLAS's ctypes call per tap.
 _GEMM_MIN_N = 128
 
 
-def _find_gemm() -> dict:
-    """The CBLAS sgemm and dgemm that numpy links, keyed by dtype, each with
-    one more than the largest size it takes; empty when none is found.
+def _find_gemm() -> tuple:
+    """The CBLAS sgemm that numpy links, with one more than the largest size
+    it takes; (None, 0) when none is found.
 
     dlsym on the handle of numpy's extension module also searches the
     libraries that module depends on, numpy's BLAS among them."""
@@ -120,23 +120,19 @@ def _find_gemm() -> dict:
     try:
         lib = ctypes.CDLL(umath.__file__)
     except OSError:
-        return {}
-    found = {}
-    for dtype, real in ((np.float32, ctypes.c_float), (np.float64, ctypes.c_double)):
-        gemm = ("s" if dtype is np.float32 else "d") + "gemm"
-        for name, size in ((f"scipy_cblas_{gemm}64_", ctypes.c_int64),
-                           (f"cblas_{gemm}64_", ctypes.c_int64),
-                           (f"scipy_cblas_{gemm}", ctypes.c_int32),
-                           (f"cblas_{gemm}", ctypes.c_int32)):
-            fn = getattr(lib, name, None)
-            if fn is not None:
-                ptr = ctypes.c_void_p
-                fn.argtypes = [ctypes.c_int] * 3 + [size] * 3 + [
-                    real, ptr, size, ptr, size, real, ptr, size]
-                fn.restype = None
-                found[np.dtype(dtype)] = fn, 2 ** (8 * ctypes.sizeof(size) - 1)
-                break
-    return found
+        return None, 0
+    for name, size in (("scipy_cblas_sgemm64_", ctypes.c_int64),
+                       ("cblas_sgemm64_", ctypes.c_int64),
+                       ("scipy_cblas_sgemm", ctypes.c_int32),
+                       ("cblas_sgemm", ctypes.c_int32)):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            real, ptr = ctypes.c_float, ctypes.c_void_p
+            fn.argtypes = [ctypes.c_int] * 3 + [size] * 3 + [
+                real, ptr, size, ptr, size, real, ptr, size]
+            fn.restype = None
+            return fn, 2 ** (8 * ctypes.sizeof(size) - 1)
+    return None, 0
 
 
 _GEMM = _find_gemm()
@@ -164,12 +160,13 @@ def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     gives the same bits as numpy's `out += taps[i, j] @ xs`: the kernel
     forms the same dot products in the same order and adds each to C with
     one rounding, as the separate add does, because 1.0 * C and 1.0 * A.B
-    are exact.  numpy's loop stays where it alone is correct:
-    - no BLAS symbol was found, or x, w are not one native float32/float64;
-    - one input channel: the product is a broadcast multiply, not a GEMM;
+    are exact.  numpy's loop stays where BLAS is missing, wrong or slower:
+    - no sgemm symbol was found, or x and w are not both float32;
     - more than _GEMM_MAX_K channels, where BLAS splits the sum;
-    - one output channel or fewer than _GEMM_MIN_N output cells: OpenBLAS
-      hands a one-row or one-cell GEMM to gemv, whose last bit can differ.
+    - one output channel: OpenBLAS hands a one-row GEMM to gemv, whose last
+      bit can differ;
+    - fewer than _GEMM_MIN_N output cells, where a ctypes call per sample
+      and tap costs more than the loop.
     BLAS sets no numpy warning, so after the GEMMs one pass (a sum) looks
     for a non-finite output; if it finds one, numpy's loop recomputes the
     call, with numpy's overflow warnings and values.  A finite output whose
@@ -181,8 +178,8 @@ def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     xf = _pad(x, ph, ph + 1, pw).reshape(n, c, -1)
     taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
     out = np.zeros((n, f, h * wp), dtype=x.dtype)
-    gemm, limit = _GEMM.get(x.dtype, (None, 0))
-    if (gemm is not None and w.dtype == x.dtype and 1 < c <= _GEMM_MAX_K
+    gemm, limit = _GEMM
+    if (gemm is not None and x.dtype == w.dtype == np.float32 and c <= _GEMM_MAX_K
             and f > 1 and h * wp >= _GEMM_MIN_N and xf.shape[2] < limit):
         # BLAS reads raw memory where numpy slicing would clip.
         assert xf.flags.c_contiguous and taps.flags.c_contiguous
@@ -228,7 +225,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             # per-tap copy's GEMM, same M, N, K but ldb; OpenBLAS packs B first.
             ph, pw = (kh - 1) // 2, (kw - 1) // 2
             xp = _pad(x.data, ph, ph, pw)
-            g3 = np.ascontiguousarray(g).reshape(n, f, h * wd)
+            g3 = g.reshape(n, f, h * wd)
             dw = np.empty_like(w.data)
             for j in range(kw):
                 col = np.ascontiguousarray(xp[..., j : j + wd])

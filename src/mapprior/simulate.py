@@ -315,8 +315,7 @@ def generate_trajectory(occ: OccupancyMap, seed: int, duration_s: float,
     start_cell = _sample_free_cell(plan_map, rng)
     pos = np.array(occ.cell_center(*start_cell))
     theta = float(rng.uniform(-np.pi, np.pi))
-    t = 0.0
-    states = [(t, pos[0], pos[1], theta)]
+    states = [(pos[0], pos[1], theta)]
 
     path: list[np.ndarray] = []
     retries = 0
@@ -371,12 +370,11 @@ def generate_trajectory(occ: OccupancyMap, seed: int, duration_s: float,
             new_pos = pos  # rotate in place and replan from here
             path = []
         pos = new_pos
-        t += SIM_DT
-        states.append((t, pos[0], pos[1], theta))
+        states.append((pos[0], pos[1], theta))
 
     arr = np.asarray(states)[::per_sample]
     t = SAMPLE_PERIOD_S * np.arange(len(arr), dtype=np.float64)  # exact nominal times
-    return Trajectory(t=t, xy=arr[:, 1:3], theta=arr[:, 3])
+    return Trajectory(t=t, xy=arr[:, :2], theta=arr[:, 2])
 
 
 def corrupt_to_odometry(traj: Trajectory, noise: NoiseProfile,

@@ -173,7 +173,10 @@ class TestLocalize:
                    "--gt", str(sim_dir / "gt_000.csv"), "--out", str(est_path)])
         assert rc == 0
         manifest = json.loads((tmp_path / "ours.csv.manifest.json").read_text())
-        assert "per_step_ms_mean" in manifest["timings"]
+        timings = manifest["timings"]
+        assert "per_step_ms_mean" in timings
+        assert {"reinit_count", "degenerate_count", "skipped_steps"} <= set(timings)
+        assert timings["skipped_steps"] == 0  # only the heuristic prior skips
         est = read_trajectory_csv(est_path)
         gt = read_trajectory_csv(sim_dir / "gt_000.csv")
         assert len(est) == len(gt)
@@ -647,7 +650,7 @@ class TestEval:
         # partner so this must fail listing them.
         assert rc != 0
 
-    def test_metrics_schema_and_mean(self, tmp_path, est_dir, sim_dir):
+    def test_metrics_schema_and_mean(self, tmp_path, est_dir, sim_dir, map_path):
         out = tmp_path / "ev"
         rc = main(["eval", "--est-dir", str(est_dir), "--gt-dir", str(sim_dir),
                    "--out", str(out)])
@@ -658,6 +661,7 @@ class TestEval:
         for row in rows:
             assert {"method", "seed", "ate_m", "ee_m", "n_steps"} <= set(row)
             assert row["method"] == "odom"
+            assert row["map"] == str(map_path)  # from the estimate's manifest
         assert metrics["mean"]["ate_m"] == pytest.approx(
             np.mean([r["ate_m"] for r in rows]))
         cdf_lines = (out / "cdf.csv").read_text().strip().splitlines()
@@ -676,6 +680,7 @@ class TestEval:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["mean"]["ate_m"] == 0.0
         assert metrics["mean"]["ee_m"] == 0.0
+        assert metrics["per_trajectory"][0]["map"] is None  # no manifest
 
     def test_unmatched_files_listed(self, tmp_path, map_path, capsys):
         d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -214,7 +214,7 @@ class TestConv2d:
     @pytest.mark.parametrize("n, c, f, h, wd, k, dtype", CONV_CASES)
     def test_bit_identical_to_per_tap_oracle_without_blas(
             self, monkeypatch, n, c, f, h, wd, k, dtype):
-        monkeypatch.setattr(ops, "_GEMM", {})
+        monkeypatch.setattr(ops, "_GEMM", (None, 0))
         self.test_bit_identical_to_per_tap_oracle(n, c, f, h, wd, k, dtype)
 
     @pytest.mark.parametrize("blas", [True, False])
@@ -226,43 +226,50 @@ class TestConv2d:
         where an output sits in the row, and the oracle's full correlation
         puts it elsewhere, so dx is checked to rounding only."""
         if not blas:
-            monkeypatch.setattr(ops, "_GEMM", {})
+            monkeypatch.setattr(ops, "_GEMM", (None, 0))
         x, w, b, g = conv_case(2, 1, 4, 10, 12, k, np.float32)
         out, dx, dw, db = self.outputs_and_grads(nn.conv2d, x, w, b, g)
         out0, dx0, dw0, db0 = self.outputs_and_grads(conv2d_per_tap, x, w, b, g)
         assert same_bits(out, out0) and same_bits(dw, dw0) and same_bits(db, db0)
         assert np.allclose(dx, dx0, rtol=1e-6, atol=1e-6)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_many_channels_match_numpy_loop(self, monkeypatch, dtype):
+    def test_many_channels_match_numpy_loop(self, monkeypatch):
         """520 input channels span two of OpenBLAS's blocks of the GEMM's
         sum on x86, where beta = 1 would round apart from numpy's loop."""
-        x, w, b, g = conv_case(1, 520, 16, 12, 20, 3, dtype)
+        x, w, b, g = conv_case(1, 520, 16, 12, 20, 3, np.float32)
         got = self.outputs_and_grads(nn.conv2d, x, w, b, g)
-        monkeypatch.setattr(ops, "_GEMM", {})
+        monkeypatch.setattr(ops, "_GEMM", (None, 0))
         want = self.outputs_and_grads(nn.conv2d, x, w, b, g)
         for name, a, e in zip(("out", "x.grad", "w.grad", "b.grad"), got, want):
             assert np.array_equal(a, e), name
 
     def test_blas_gemm_found(self):
-        """numpy's scipy-openblas wheels on Linux export both CBLAS GEMMs; a
-        lookup that misses them would only show as a slower conv."""
+        """numpy's scipy-openblas wheels on Linux export the CBLAS sgemm; a
+        lookup that misses it would only show as a slower conv."""
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         if sys.platform != "linux" or blas.get("name") != "scipy-openblas":
             pytest.skip(f"numpy's BLAS is {blas.get('name')} on {sys.platform}")
-        assert set(ops._GEMM) == {np.dtype(np.float32), np.dtype(np.float64)}
+        fn, limit = ops._GEMM
+        assert fn is not None and "sgemm" in fn.__name__ and limit >= 2 ** 31
 
-    def test_small_planes_take_numpy_loop(self, monkeypatch):
-        if np.dtype(np.float32) not in ops._GEMM:
+    @staticmethod
+    def count_gemm_calls(monkeypatch) -> list:
+        """Route _correlate's sgemm through a wrapper that records each
+        call's N (output cells per plane); skips when there is no sgemm."""
+        fn, limit = ops._GEMM
+        if fn is None:
             pytest.skip("no BLAS sgemm found")
         calls = []
-        fn, limit = ops._GEMM[np.dtype(np.float32)]
 
         def counted(*args):
             calls.append(args[4])
             fn(*args)
 
-        monkeypatch.setitem(ops._GEMM, np.dtype(np.float32), (counted, limit))
+        monkeypatch.setattr(ops, "_GEMM", (counted, limit))
+        return calls
+
+    def test_small_planes_take_numpy_loop(self, monkeypatch):
+        calls = self.count_gemm_calls(monkeypatch)
         # The U-Net's 8 px layers (80 cells) run faster in numpy's loop, its
         # 16 px layers (288 cells) as fast either way.
         for side, blas in ((8, False), (16, True)):
@@ -270,6 +277,24 @@ class TestConv2d:
             ops._correlate(x, w)
             assert calls == ([side * (side + 2)] * 2 * 9 if blas else [])
             calls.clear()
+
+    def test_one_input_channel_takes_blas(self, monkeypatch):
+        """The U-Net's first layer reads the one-channel map: past
+        _GEMM_MIN_N cells it takes the same per-tap GEMM as any channel
+        count, with the per-tap oracle's bits."""
+        calls = self.count_gemm_calls(monkeypatch)
+        x, w, b, g = conv_case(2, 1, 16, 16, 16, 3, np.float32)
+        assert 16 * 18 >= ops._GEMM_MIN_N
+        out = nn.conv2d(constant(x), constant(w), constant(b)).data
+        assert calls == [16 * 18] * 2 * 9
+        want = self.outputs_and_grads(conv2d_per_tap, x, w, b, g)[0]
+        assert same_bits(out, want)
+
+    def test_float64_takes_numpy_loop(self, monkeypatch):
+        calls = self.count_gemm_calls(monkeypatch)
+        x, w, _, _ = conv_case(2, 4, 4, 16, 16, 3, np.float64)
+        ops._correlate(x, w)
+        assert calls == []
 
     def test_overflow_warns_and_matches_numpy_loop(self, monkeypatch):
         self.assert_overflow_matches_numpy_loop(monkeypatch, (2, 3, 4, 7, 5, 3))
@@ -291,7 +316,7 @@ class TestConv2d:
             return out, sorted(str(r.message) for r in seen)
 
         got, got_seen = conv()
-        monkeypatch.setattr(ops, "_GEMM", {})
+        monkeypatch.setattr(ops, "_GEMM", (None, 0))
         want, want_seen = conv()
         assert np.isnan(want).any() and np.isinf(want).any()
         assert np.array_equal(got, want, equal_nan=True)

@@ -171,6 +171,15 @@ def training(out: dict, occ, found: dict) -> dict:
     return weights
 
 
+def encodings(out: dict, weights: dict) -> None:
+    """The trained U-Net's encodings of the localize map (96 cells) and the
+    query map (256 cells), whose one-channel first layer runs on BLAS."""
+    for layout in (synthmaps.office_floor(), synthmaps.office_floor(256, 256)):
+        side = layout.free.shape[0]
+        out[f"model.encode_map.office_floor{side}"] = digest(
+            model.encode_map(layout, weights, SMALL_MODEL))
+
+
 def filters(out: dict, occ, found: dict, weights: dict) -> None:
     for mode in ("pedestrian", "wheeled"):
         traj, odom = found[mode, 0]
@@ -301,6 +310,7 @@ def main() -> int:
     out["simulate.streams"] = digest(list(found.values()))
     kernels(out, occ, found)
     weights = training(out, occ, found)
+    encodings(out, weights)
     filters(out, occ, found, weights)
     comparisons(out, occ, found)
     with tempfile.TemporaryDirectory() as tmp:
