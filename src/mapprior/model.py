@@ -154,7 +154,7 @@ def unet_forward(x: Tensor, params: dict[str, Tensor],
                  config: ModelConfig) -> Tensor:
     """Map branch on x (N, 1, H, W); H and W must be multiples of 2^(depth-1)."""
     def block(h, name):
-        return nn.relu(nn.conv2d(h, params[f"{name}.w"], params[f"{name}.b"]))
+        return nn.conv2d(h, params[f"{name}.w"], params[f"{name}.b"], relu=True)
 
     # One op per statement, so inference frees each input before the next op.
     skips = []

@@ -35,15 +35,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return make_node(out, (a, b), back)
 
 
-def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0)
-
-    def back(g):
-        x.accumulate(g * (x.data > 0))
-
-    return make_node(out, (x,), back)
-
-
 def logistic(d: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-d)) on an array without overflow: exp only sees -|d|,
     as min(d, -d) so that a nan keeps its sign."""
@@ -205,9 +196,11 @@ def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(n, f, h, wp)[..., :wd]
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, *, relu: bool = False) -> Tensor:
     """'Same'-padded, stride-1 cross-correlation: x (N,C,H,W), w (F,C,kh,kw)
-    with odd kh and kw, b (F,)."""
+    with odd kh and kw, b (F,).  relu=True takes max(out, 0) in place; the
+    backward's mask out > 0 holds where the pre-activation's does, nan and
+    -0.0 included, so the bits are relu(conv2d(...))'s with one array."""
     n, c, h, wd = x.data.shape
     f, cw, kh, kw = w.data.shape
     if cw != c or b.data.shape != (f,):
@@ -216,8 +209,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("'same' padding requires odd kernel dims")
     out = _correlate(x.data, w.data) + b.data[:, None, None]
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def back(g):
+        g = g * (out > 0) if relu else g
         if b.requires_grad:
             b.accumulate(g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
@@ -242,21 +238,28 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def maxpool2(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; ties resolve to the first position."""
+    """2x2 max pooling with stride 2; ties and nans resolve as argmax's do.
+    The four strided quarters meet pairwise; a byte a cell keeps the winner."""
     n, c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    blocks = x.data.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    flat = np.ascontiguousarray(blocks).reshape(n, c, h // 2, w // 2, 4)
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    q = [x.data[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
 
-    # The closure keeps the argmax indices, not the copy of x in flat.
+    def first_max(a, b):  # b wins if larger, or nan where a is not
+        wins = ~(b <= a) & (a == a)
+        return np.where(wins, b, a), wins
+
+    (top, right), (bottom, low_right) = first_max(q[0], q[1]), first_max(q[2], q[3])
+    out, lower = first_max(top, bottom)
+    if not x.requires_grad:
+        return make_node(out, (x,), None)
+    idx = np.where(lower, low_right + np.uint8(2), right.view(np.uint8))
+
     def back(g):
-        dflat = np.zeros(idx.shape + (4,), dtype=x.data.dtype)
-        np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
-        dx = dflat.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        x.accumulate(dx.reshape(n, c, h, w))
+        dx = np.zeros(x.data.shape, dtype=x.data.dtype)
+        for k, i, j in ((0, 0, 0), (1, 0, 1), (2, 1, 0), (3, 1, 1)):
+            np.copyto(dx[:, :, i::2, j::2], g, where=idx == k)
+        x.accumulate(dx)
 
     return make_node(out, (x,), back)
 
@@ -265,7 +268,9 @@ def upsample2(x: Tensor) -> Tensor:
     """Nearest-neighbor x2 upsampling.  Its backward adds 0 + (top pair) +
     (bottom pair) per 2x2 block: numpy's block-sum order on a C-ordered g, but
     for a 1-wide x ((a + b) + c) + d, which crop_size % 2^depth == 0 rules out."""
-    out = x.data.repeat(2, axis=2).repeat(2, axis=3)
+    n, c, h, w = x.data.shape
+    out = np.broadcast_to(x.data[:, :, :, None, :, None],
+                          (n, c, h, 2, w, 2)).reshape(n, c, 2 * h, 2 * w)
 
     def back(g):
         x.accumulate(0.0 + (g[..., 0::2, 0::2] + g[..., 0::2, 1::2])

@@ -336,6 +336,39 @@ class TestConv2d:
 
         assert finite_difference_check(loss, {"x": x, "w": w, "b": b}) < 1e-4
 
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n, c, f, h, wd, k", [row[:6] for row in CONV_CASES])
+    def test_fused_relu_bit_identical_to_composed(
+            self, monkeypatch, n, c, f, h, wd, k, dtype, forced):
+        """relu=True gives relu(conv2d(...))'s output and gradients bit for
+        bit.  With `forced`, the bias is -0.0, which leaves every sum as it
+        is, and the forward's correlation is overwritten with 0.0, -0.0 and
+        nan at three cells, so the pre-activation takes exactly those values."""
+        x, w, b, g = conv_case(n, c, f, h, wd, k, dtype)
+        if forced:
+            b = np.full_like(b, -0.0)
+            correlate = ops._correlate
+            spots = np.random.default_rng(n + c + f).choice(n * f * h * wd, 3,
+                                                            replace=False)
+
+            def forward_forced(xa, wa):
+                out = correlate(xa, wa)
+                if not calls:  # the forward's call; the backward's dx follows
+                    out[np.unravel_index(spots, out.shape)] = 0.0, -0.0, np.nan
+                calls.append(1)
+                return out
+
+            monkeypatch.setattr(ops, "_correlate", forward_forced)
+        found = []
+        for conv in (lambda *a: nn.conv2d(*a, relu=True),
+                     lambda *a: relu(nn.conv2d(*a))):
+            calls = []
+            found.append(self.outputs_and_grads(conv, x, w, b, g))
+        for name, a, e in zip(("out", "x.grad", "w.grad", "b.grad"), *found):
+            assert same_bits(a, e), name
+        assert np.isnan(found[0][0]).sum() == forced
+
 
 def linear(x, w, b):
     """x @ w.T + b with w of shape (out_features, in_features), as a graph node."""
@@ -350,6 +383,35 @@ def linear(x, w, b):
             b.accumulate(g.sum(axis=0))
 
     return make_node(out, (x, w, b), back)
+
+
+def relu(x):
+    """max(x, 0) as its own graph node: the composed form that
+    nn.conv2d(..., relu=True) must match bit for bit."""
+    out = np.maximum(x.data, 0)
+
+    def back(g):
+        x.accumulate(g * (x.data > 0))
+
+    return make_node(out, (x,), back)
+
+
+def maxpool2_argmax(x):
+    """2x2 max pooling through a transposed copy of x, argmax and
+    take_along_axis: the oracle of nn.maxpool2, forward and backward."""
+    n, c, h, w = x.data.shape
+    blocks = x.data.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    flat = np.ascontiguousarray(blocks).reshape(n, c, h // 2, w // 2, 4)
+    idx = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+
+    def back(g):
+        dflat = np.zeros(idx.shape + (4,), dtype=x.data.dtype)
+        np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
+        dx = dflat.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        x.accumulate(dx.reshape(n, c, h, w))
+
+    return make_node(out, (x,), back)
 
 
 def index(x, key):
@@ -573,7 +635,7 @@ class TestBackwardEngine:
         wgt = np.ones((1, 2, 6, 6))
 
         def loss():
-            return nn.weighted_mse(nn.relu(nn.conv2d(x, w, b)), target, wgt)
+            return nn.weighted_mse(relu(nn.conv2d(x, w, b)), target, wgt)
 
         assert finite_difference_check(loss, {"x": x, "w": w, "b": b}) < 1e-4
 
@@ -585,7 +647,7 @@ class TestBackwardEngine:
         for _ in range(2):
             w = parameter(w_init.copy())
             b = parameter(np.zeros(2, dtype=np.float32))
-            out = nn.relu(nn.conv2d(constant(x), w, b))
+            out = relu(nn.conv2d(constant(x), w, b))
             backward(nn.sum_all(out))
             grads.append(w.grad.copy())
         assert np.array_equal(grads[0], grads[1])
@@ -593,7 +655,7 @@ class TestBackwardEngine:
     def test_backward_requires_scalar(self):
         x = parameter(np.ones((2, 2)))
         with pytest.raises(ValueError, match="scalar"):
-            backward(nn.relu(x))
+            backward(relu(x))
 
     def test_grad_accumulates_over_reuse(self):
         x = parameter(np.array([2.0]))
@@ -697,7 +759,7 @@ class TestGraphRelease:
 
     def test_second_backward_through_released_graph_raises(self):
         x = parameter(np.array([1.0, -2.0, 3.0]))
-        h = nn.relu(x)
+        h = relu(x)
         loss = nn.sum_all(nn.mul(h, h))
         backward(loss)
         before = x.grad.copy()
@@ -716,7 +778,7 @@ class TestElementwiseOps:
         specs = [
             ("sigmoid", lambda t: nn.sigmoid(t)),
             ("tanh", lambda t: nn.tanh(t)),
-            ("relu_offset", lambda t: nn.relu(nn.add(t, constant(np.float64(0.37))))),
+            ("relu_offset", lambda t: relu(nn.add(t, constant(np.float64(0.37))))),
             ("index", lambda t: index(t, np.s_[1:, 2])),
         ]
         for name, fn in specs:
@@ -762,6 +824,39 @@ class TestElementwiseOps:
         assert np.array_equal(out.data, [[[[3.0, 2.0]]]])
         backward(nn.sum_all(nn.mul(out, constant(np.array([[[[5.0, 7.0]]]])))))
         assert np.array_equal(x.grad, [[[[0, 5, 7, 0], [0, 0, 0, 0]]]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxpool_bit_identical_to_argmax_oracle(self, dtype):
+        """Ties, -0.0 beside 0.0, +-inf and nan: the pairwise maxima pick
+        argmax's element, and the gradient goes where the oracle's does."""
+        rng = np.random.default_rng(16)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0], dtype)
+        for trial in range(100):
+            shape = (*rng.integers(1, 4, 2), *(2 * rng.integers(1, 6, 2)))
+            a = rng.integers(-2, 3, shape).astype(dtype)
+            mixed = rng.random(shape) < 0.4
+            a[mixed] = rng.choice(special, mixed.sum())
+            g = rng.normal(size=(*shape[:2], shape[2] // 2, shape[3] // 2)).astype(dtype)
+            found = []
+            for pool in (nn.maxpool2, maxpool2_argmax):
+                x = parameter(a, dtype)
+                out = pool(x)
+                out._backward(g)
+                found.append((out.data, x.grad))
+            (out, dx), (out0, dx0) = found
+            assert same_bits(out, out0) and same_bits(dx, dx0), trial
+
+    def test_maxpool_without_grad_records_no_closure(self):
+        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
+        out = nn.maxpool2(constant(x))
+        assert out._backward is None and not out.requires_grad
+        assert same_bits(out.data, np.array([[[[5, 7], [13, 15]]]], np.float32))
+
+    def test_upsample_is_repeat(self):
+        x = np.random.default_rng(17).normal(size=(2, 3, 4, 5)).astype(np.float32)
+        out = nn.upsample2(constant(x)).data
+        assert same_bits(out, x.repeat(2, axis=2).repeat(2, axis=3))
+        assert out.flags.c_contiguous
 
     @staticmethod
     def upsample_grad(g):

@@ -157,6 +157,23 @@ def batch_loss(out: dict, tag: str, config, data: list) -> None:
         {k: p.grad for k, p in params.items()})
 
 
+def pooling(out: dict) -> None:
+    """maxpool2's output and input gradient on one float32 tensor with ties,
+    -0.0 beside 0.0, +-inf and nan."""
+    rng = np.random.default_rng(11)
+    a = rng.integers(-2, 3, (3, 4, 8, 10)).astype(np.float32)
+    mixed = rng.random(a.shape) < 0.4
+    a[mixed] = rng.choice(np.array([0.0, -0.0, np.inf, -np.inf, np.nan],
+                                   np.float32), mixed.sum())
+    g = rng.normal(size=(3, 4, 4, 5)).astype(np.float32)
+    x = nn.parameter(a)
+    pooled = nn.maxpool2(x)
+    with np.errstate(invalid="ignore"):
+        nn.backward(nn.sum_all(nn.mul(pooled, nn.constant(g))))
+    out["nn.maxpool2"] = digest(pooled.data)
+    out["nn.maxpool2.grad"] = digest(x.grad)
+
+
 def training(out: dict, occ, found: dict) -> dict:
     trajs = [found["pedestrian", 0][0], found["pedestrian", 1][0]]
     noise = simulate.NoiseProfile.pedestrian()
@@ -309,6 +326,7 @@ def main() -> int:
     found = streams(occ)
     out["simulate.streams"] = digest(list(found.values()))
     kernels(out, occ, found)
+    pooling(out)
     weights = training(out, occ, found)
     encodings(out, weights)
     filters(out, occ, found, weights)
