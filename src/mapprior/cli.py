@@ -190,7 +190,7 @@ def cmd_train(args) -> int:
         "seed": args.seed,
     }
     _atomic_file(out, lambda p: save_weights(p, weights, meta))
-    log_path = Path(args.log) if args.log else out.with_suffix(out.suffix + ".log.csv")
+    log_path = out.with_suffix(out.suffix + ".log.csv")
     log_lines = ["epoch,train_loss,val_loss"]
     log_lines += [f"{e},{tr:.9g},{vl:.9g}" for e, tr, vl in history]
     _write_text(log_path, "\n".join(log_lines) + "\n")
@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--config", default=None, help="model config JSON file")
     tr.add_argument("--stride", type=int, default=1,
                     help="keep every n-th training window")
-    tr.add_argument("--log", default=None, help="loss curve CSV path")
     tr.set_defaults(fn=cmd_train)
 
     loc = sub.add_parser("localize", parents=[common],

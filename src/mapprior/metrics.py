@@ -9,7 +9,7 @@ import numpy as np
 from .occupancy import OccupancyMap
 from .simulate import Trajectory
 
-PRIOR_FLOOR = 1e-12
+PRIOR_FLOOR = 1e-12  # the least a prior may give a cell, here and in the filter
 
 
 @dataclass(frozen=True)

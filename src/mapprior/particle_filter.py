@@ -15,14 +15,13 @@ import numpy as np
 
 from . import model as prior_model
 from .baselines import heuristic_prior
+from .metrics import PRIOR_FLOOR
 from .occupancy import OccupancyMap, segments_hit_obstacles
 # Unused here; kept because the benchmark's tracer patches it by this name.
 from .occupancy import segment_hits_obstacle  # noqa: F401
 from .simulate import (SAMPLE_PERIOD_S, Odometry, Pose, Trajectory, check_fields,
                        integrate_heading, integrate_odometry, require_1hz,
                        window, wrap_angle)
-
-WEIGHT_FLOOR = 1e-12
 
 
 @dataclass
@@ -112,14 +111,11 @@ def reweight(particles: ParticleSet, heatmap: np.ndarray,
     every particle sat at the floor and weights fell back to uniform."""
     p = len(particles)
     ix, iy, inside = occ.world_to_cells(particles.xy)
-    raw = np.full(p, WEIGHT_FLOOR)
+    raw = np.full(p, PRIOR_FLOOR)
     raw[inside] = np.maximum(
-        heatmap[iy[inside], ix[inside]].astype(np.float64), WEIGHT_FLOOR)
-    degenerate = bool(np.all(raw <= WEIGHT_FLOOR))
-    if degenerate:
-        w = np.full(p, 1.0 / p)
-    else:
-        w = raw / raw.sum()
+        heatmap[iy[inside], ix[inside]].astype(np.float64), PRIOR_FLOOR)
+    degenerate = bool(np.all(raw <= PRIOR_FLOOR))
+    w = np.full(p, 1.0 / p) if degenerate else raw / raw.sum()
     return ParticleSet(xy=particles.xy, theta=particles.theta, weights=w,
                        hit_obstacle=particles.hit_obstacle), degenerate
 
@@ -210,13 +206,28 @@ def run_filter(odom: Odometry, occ: OccupancyMap, prior: str,
     and reused), "heuristic" (overlap cross-correlation of the noisy window),
     or "none" (no reweighting; dead-reckoning with motion noise).
     """
-    if prior not in ("learned", "heuristic", "none"):
-        raise ValueError(f"unknown prior {prior!r}")
     require_1hz(odom)
     if prior == "learned":
         if weights is None or model_config is None:
             raise ValueError("learned prior requires weights and model_config")
         map_tensor = prior_model.encode_map(occ, weights, model_config)
+
+        def heatmap_of(rel):
+            return prior_model.score(map_tensor, prior_model.encode_odometry(
+                rel / occ.resolution, weights, model_config))
+    elif prior == "heuristic":
+        def heatmap_of(rel):
+            try:
+                return heuristic_prior(occ, rel)
+            except ValueError:
+                # Degenerate noisy window larger than the map: no usable
+                # evidence this step, keep the motion-only update.
+                run.skipped_steps += 1
+                return None
+    elif prior == "none":
+        heatmap_of = None
+    else:
+        raise ValueError(f"unknown prior {prior!r}")
 
     rng = np.random.default_rng(seed)
     particles = init_particles(start, config, rng)
@@ -235,7 +246,7 @@ def run_filter(odom: Odometry, occ: OccupancyMap, prior: str,
         particles = propagate(particles, odom.dxy[i], float(odom.dtheta[i]),
                               config, occ, rng)
         k = i + 2 - window_len  # wins[k] ends at positions[i + 1]
-        if prior != "none" and k >= 0:
+        if heatmap_of is not None and k >= 0:
             rel = wins[k]
             if config.mode == "wheeled":
                 # est is the pose at positions[i]; rotate the odometry frame
@@ -243,18 +254,7 @@ def run_filter(odom: Odometry, occ: OccupancyMap, prior: str,
                 rot = est.theta - float(headings[i])
                 cr, sr = np.cos(rot), np.sin(rot)
                 rel = rel @ np.array([[cr, sr], [-sr, cr]])
-            if prior == "learned":
-                vec = prior_model.encode_odometry(rel / occ.resolution,
-                                                  weights, model_config)
-                heatmap = prior_model.score(map_tensor, vec)
-            else:
-                try:
-                    heatmap = heuristic_prior(occ, rel)
-                except ValueError:
-                    # Degenerate noisy window larger than the map: no usable
-                    # evidence this step, keep the motion-only update.
-                    heatmap = None
-                    run.skipped_steps += 1
+            heatmap = heatmap_of(rel)
             if heatmap is not None:
                 particles, degen = reweight(particles, heatmap, occ)
                 run.degenerate_count += int(degen)

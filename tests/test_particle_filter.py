@@ -423,6 +423,27 @@ class TestRunFilter:
         assert np.array_equal(runs[0].estimates.xy, runs[1].estimates.xy)
         assert np.array_equal(runs[0].estimates.theta, runs[1].estimates.theta)
 
+    def test_heuristic_without_evidence_is_the_none_run(self, open_map,
+                                                        monkeypatch):
+        # Every window too large for the map: each evidence step is skipped,
+        # so the run draws the same numbers as a run without a prior.
+        def oversized(occ, window_xy):
+            raise ValueError("window larger than the map")
+
+        monkeypatch.setattr(particle_filter, "heuristic_prior", oversized)
+        gt = generate_trajectory(open_map, seed=2, duration_s=30.0)
+        odom = corrupt_to_odometry(gt, NoiseProfile.pedestrian(), seed=3,
+                                   resolution=open_map.resolution)
+        cfg = FilterConfig(particle_count=50)
+        runs = [run_filter(odom, open_map, prior, cfg, seed=7, start=gt.pose(0))
+                for prior in ("heuristic", "none")]
+        assert np.array_equal(runs[0].estimates.xy, runs[1].estimates.xy)
+        assert np.array_equal(runs[0].estimates.theta, runs[1].estimates.theta)
+        assert runs[0].reinit_count == runs[1].reinit_count
+        assert runs[0].degenerate_count == runs[1].degenerate_count == 0
+        assert runs[1].skipped_steps == 0
+        assert runs[0].skipped_steps == len(odom) - cfg.window_len + 2
+
     def test_unknown_prior_rejected(self, open_map):
         odom = Odometry(t=np.array([1.0]), dxy=np.zeros((1, 2)),
                         dtheta=np.zeros(1))

@@ -209,6 +209,16 @@ def filters(out: dict, occ, found: dict, weights: dict) -> None:
             out[f"particle_filter.run_filter.{mode}.{prior}"] = digest(
                 [run.estimates, run.reinit_count, run.degenerate_count,
                  run.skipped_steps])
+    # A box small enough that the run skips, degenerates and reinits.
+    box = synthmaps.open_box(12, 12)
+    gt = simulate.generate_trajectory(box, 1, 40.0)
+    odom = simulate.corrupt_to_odometry(gt, simulate.NoiseProfile.pedestrian(), 101,
+                                        resolution=box.resolution)
+    run = particle_filter.run_filter(odom, box, "heuristic",
+                                     particle_filter.FilterConfig(particle_count=100),
+                                     5, gt.pose(0))
+    out["particle_filter.run_filter.pedestrian.heuristic.small_box"] = digest(
+        [run.estimates, run.reinit_count, run.degenerate_count, run.skipped_steps])
 
 
 def comparisons(out: dict, occ, found: dict) -> None:
